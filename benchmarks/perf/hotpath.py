@@ -1,15 +1,14 @@
 """Microbenchmarks for the single-core hot-path engine.
 
 Times each layer of the hot path in isolation, always against the naive
-reference implementation that is still shipped as the oracle:
+reference implementation kept as its oracle in ``tests/oracles.py``:
 
 * ``tokenize``  — the full :class:`Token`-allocating tokenizer versus
   the allocation-free :func:`repro.nlp.tokenize.scan_words_hashtags`
   sweep the matching layers actually use;
-* ``track_filter`` — :meth:`TrackFilter.matches_naive` (per-term scan)
-  versus :meth:`TrackFilter.matches` (compiled
+* ``track_filter`` — :class:`NaiveTrackFilter` (per-term scan) versus :meth:`TrackFilter.matches` (compiled
   :class:`~repro.nlp.automaton.TermVocabulary`);
-* ``matcher`` — :meth:`OrganMatcher.mentions_naive` versus the
+* ``matcher`` — :class:`NaiveOrganMatcher` versus the
   Aho–Corasick :meth:`OrganMatcher.mentions`;
 * ``geocode`` — the geocoder's cold resolution cost versus the warm
   bounded-memo path over a heavy-tailed location sample.
@@ -34,6 +33,7 @@ from repro.nlp.keywords import build_query_set, track_phrases
 from repro.nlp.matcher import OrganMatcher
 from repro.nlp.tokenize import scan_words_hashtags, tokenize, TokenKind
 from repro.twitter.stream import TrackFilter
+from tests.oracles import NaiveOrganMatcher, NaiveTrackFilter
 
 
 def _fresh_caches() -> None:
@@ -41,12 +41,10 @@ def _fresh_caches() -> None:
     scan_words_hashtags.cache_clear()
 
 
-def _track_filter() -> TrackFilter:
+def _track_phrases() -> tuple[str, ...]:
     config = CollectionConfig()
-    return TrackFilter(
-        track_phrases(
-            build_query_set(config.context_terms, config.subject_terms)
-        )
+    return track_phrases(
+        build_query_set(config.context_terms, config.subject_terms)
     )
 
 
@@ -88,20 +86,21 @@ def bench_track_filter(
     texts: list[str], stream: list[str]
 ) -> dict[str, Any]:
     """Per-term keyword scan vs the compiled automaton vocabulary."""
-    oracle = _track_filter()
+    oracle = TrackFilter(_track_phrases())
+    oracle_naive = NaiveTrackFilter(_track_phrases())
     parity = all(
-        oracle.matches(text) == oracle.matches_naive(text) for text in texts
+        oracle.matches(text) == oracle_naive.matches(text) for text in texts
     )
 
     _fresh_caches()
-    naive = _track_filter()
+    naive = NaiveTrackFilter(_track_phrases())
     start = time.perf_counter()
     for text in texts:
-        naive.matches_naive(text)
+        naive.matches(text)
     naive_seconds = time.perf_counter() - start
 
     _fresh_caches()
-    fast = _track_filter()
+    fast = TrackFilter(_track_phrases())
     start = time.perf_counter()
     for text in texts:
         fast.matches(text)
@@ -129,16 +128,17 @@ def bench_track_filter(
 def bench_matcher(texts: list[str]) -> dict[str, Any]:
     """Naive per-alias mention scan vs the Aho–Corasick path."""
     oracle = OrganMatcher()
+    oracle_naive = NaiveOrganMatcher()
     parity = all(
-        oracle.mentions(text) == oracle.mentions_naive(text)
+        oracle.mentions(text) == oracle_naive.mentions(text)
         for text in texts
     )
 
     _fresh_caches()
-    naive = OrganMatcher()
+    naive = NaiveOrganMatcher()
     start = time.perf_counter()
     for text in texts:
-        naive.mentions_naive(text)
+        naive.mentions(text)
     naive_seconds = time.perf_counter() - start
 
     _fresh_caches()

@@ -4,12 +4,10 @@ Maps every tweet to the multiset of organs it mentions.  The contingency
 matrix of :mod:`repro.core.attention` is built from these mentions, so the
 matcher's recall/precision directly shapes every downstream result.
 
-Two implementations of the same rules live here: the **automaton fast
-path** (:meth:`OrganMatcher.mentions`), which scans each tweet once via
+:meth:`OrganMatcher.mentions` scans each tweet once via
 :func:`repro.nlp.tokenize.scan_words_hashtags` and resolves glued
-hashtags with one Aho–Corasick sweep, and the **naive reference path**
-(:meth:`OrganMatcher.mentions_naive`), the original per-term scan kept
-as the oracle the property suite checks the fast path against.
+hashtags with one Aho–Corasick sweep.  The naive per-alias scan it is
+property-tested against lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -18,13 +16,7 @@ from collections import Counter
 
 from repro.organs import ALIASES, Organ
 from repro.nlp.automaton import AhoCorasick
-from repro.nlp.tokenize import (
-    Token,
-    TokenKind,
-    scan_words_hashtags,
-    split_compound,
-    tokenize,
-)
+from repro.nlp.tokenize import scan_words_hashtags, split_compound
 
 
 class OrganMatcher:
@@ -96,40 +88,6 @@ class OrganMatcher:
         cache[tag] = result
         return result
 
-    def mentions_naive(self, text: str) -> Counter[Organ]:
-        """Count organ mentions via the original per-term scan.
-
-        The reference implementation the automaton path is property-
-        tested against; not used on the pipeline hot path.
-        """
-        counts: Counter[Organ] = Counter()
-        for token in tokenize(text):
-            for organ in self._match_token(token):
-                counts[organ] += 1
-        return counts
-
     def distinct_organs(self, text: str) -> frozenset[Organ]:
         """The set of organs mentioned at least once."""
         return frozenset(self.mentions(text))
-
-    def _match_token(self, token: Token) -> frozenset[Organ]:
-        if token.kind is TokenKind.WORD:
-            organ = self._aliases.get(token.text)
-            if organ is not None:
-                return frozenset((organ,))
-            parts = split_compound(token.text)
-            if parts:
-                return frozenset(
-                    self._aliases[part] for part in parts if part in self._aliases
-                )
-            return frozenset()
-        if token.kind is TokenKind.HASHTAG:
-            organ = self._aliases.get(token.text)
-            if organ is not None:
-                return frozenset((organ,))
-            return frozenset(
-                self._aliases[term]
-                for term in self._substring_terms
-                if term in token.text
-            )
-        return frozenset()

@@ -8,8 +8,10 @@
 3. **Filter** — retain only tweets from users located in the USA
    (:mod:`repro.pipeline.usfilter`).
 
-:class:`repro.pipeline.runner.CollectionPipeline` composes the three steps
-and keeps provenance counters for every drop reason.
+:mod:`repro.pipeline.batch` chains the three steps into the one funnel
+every execution mode drives; :class:`repro.pipeline.runner.CollectionPipeline`
+runs it serially or sharded and keeps provenance counters for every drop
+reason.
 """
 
 from repro.pipeline.augment import augment_location

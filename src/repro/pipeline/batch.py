@@ -1,36 +1,44 @@
-"""Batched hot-path execution of the collect → geocode → match funnel.
+"""The collect → geocode → US-filter → match funnel, defined once.
 
-The per-tweet cost of the original loops was dominated by Python-level
-overhead, not by the work itself: generator machinery per tweet, a
-method lookup per stage call, and an attribute store per counter
-increment.  This module is the single shared inner engine both the
-serial runner and the sharded workers drive (preserving the invariant
-that both paths run *exactly* the same code):
+This module is the only place the §III-A decision is made.  Every
+execution mode drives it: the serial runner and the sharded workers
+over whole streams, the incremental collector over checkpoint-sized
+chunks, and the rolling sensor over one-tweet batches.  Each caller
+builds its stage objects with :func:`build_stages` and hands tweets to
+:func:`process_batch` / :func:`process_stream`, so no two modes can
+disagree about which tweets survive.
 
-* tweets are consumed in chunks of :data:`BATCH_SIZE`, so stream
-  overhead is paid per batch rather than per tweet;
-* the stage callables (track match, geocode, mention extraction) are
-  hoisted into locals once per batch; and
-* provenance counters accumulate in local integers and flush into the
-  shared :class:`~repro.pipeline.runner.PipelineReport` once per batch —
-  the merged totals are identical because every counter is a plain sum.
+The per-tweet cost of a naive loop is dominated by Python-level
+overhead, not by the work itself, so the engine:
 
-Byte-identity with the unbatched formulation is the oracle: the
-parallel/chaos equivalence property suites compare corpora produced
-through this engine at every worker count.
+* consumes tweets in chunks of :data:`BATCH_SIZE`, paying stream
+  overhead per batch rather than per tweet;
+* hoists the stage callables (track match, geocode, US filter, mention
+  extraction) into locals once per batch; and
+* accumulates provenance counters in local integers and flushes them
+  into the shared :class:`~repro.pipeline.runner.PipelineReport` once
+  per batch — the merged totals are identical because every counter is
+  a plain sum.
+
+The reference is a per-tweet funnel built from the naive oracles in
+``tests/oracles.py``; ``tests/pipeline/test_batch.py`` holds records
+and every counter in lockstep with it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING
 
 from repro.config import CollectionConfig
 from repro.dataset.records import CollectedTweet
 from repro.geo.geocoder import Geocoder
+from repro.nlp.keywords import build_query_set, track_phrases
 from repro.nlp.matcher import OrganMatcher
 from repro.pipeline.augment import augment_location
+from repro.pipeline.usfilter import is_us_located
 from repro.twitter.models import Tweet
 from repro.twitter.stream import TrackFilter
 
@@ -41,6 +49,37 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: setup to noise, small enough that a batch of position-tagged records
 #: stays cache-friendly.
 BATCH_SIZE = 2048
+
+
+@dataclass(slots=True)
+class FunnelStages:
+    """The stage objects one funnel run needs.
+
+    The geocoder and matcher keep per-instance memos, so every process
+    (and every long-lived collector or sensor) builds its own set.
+
+    Attributes:
+        config: collection configuration (vocabularies, confidence).
+        track: keyword filter over the config's query set Q.
+        geocoder: location resolver for the augment step.
+        matcher: organ-mention extractor.
+    """
+
+    config: CollectionConfig
+    track: TrackFilter
+    geocoder: Geocoder
+    matcher: OrganMatcher
+
+
+def build_stages(config: CollectionConfig) -> FunnelStages:
+    """Build the funnel's stages for ``config``."""
+    queries = build_query_set(config.context_terms, config.subject_terms)
+    return FunnelStages(
+        config=config,
+        track=TrackFilter(track_phrases(queries)),
+        geocoder=Geocoder(),
+        matcher=OrganMatcher(),
+    )
 
 
 def iter_batches(
@@ -57,23 +96,22 @@ def iter_batches(
 
 def process_batch(
     batch: list[tuple[int, Tweet]],
-    config: CollectionConfig,
-    track: TrackFilter,
-    geocoder: Geocoder,
-    matcher: OrganMatcher,
+    stages: FunnelStages,
     report: "PipelineReport",
 ) -> list[tuple[int, CollectedTweet]]:
     """Run the full funnel over one batch; flush counters once at the end.
 
-    Semantics are exactly the keyword filter followed by
-    :func:`repro.pipeline.runner.process_matched` per tweet; the body is
-    a tight loop over hoisted locals with the counters accumulated in
-    integers and added to ``report`` in one flush.
+    Per tweet: keyword filter, :func:`augment_location`,
+    :func:`is_us_located`, mention extraction.  Returns the surviving
+    records tagged with their positions and adds this batch's counters
+    to ``report``.
     """
-    track_matches = track.matches
+    config = stages.config
+    geocoder = stages.geocoder
+    track_matches = stages.track.matches
     geocode_tweet = augment_location
-    extract_mentions = matcher.mentions
-    min_confidence = config.min_confidence
+    us_located_match = is_us_located
+    extract_mentions = stages.matcher.mentions
     out: list[tuple[int, CollectedTweet]] = []
     append = out.append
     stream_dropped = 0
@@ -99,13 +137,7 @@ def process_batch(
             located_gps += 1
         else:
             located_profile += 1
-        # is_us_located, inlined: a specific US state at sufficient
-        # confidence (kept in lockstep by tests/pipeline/test_batch.py).
-        if not (
-            match.country == "US"
-            and match.state is not None
-            and match.confidence >= min_confidence
-        ):
+        if not us_located_match(match, config):
             non_us += 1
             continue
         us_located += 1
@@ -136,10 +168,7 @@ def process_batch(
 
 def process_stream(
     source: Iterable[tuple[int, Tweet]],
-    config: CollectionConfig,
-    track: TrackFilter,
-    geocoder: Geocoder,
-    matcher: OrganMatcher,
+    stages: FunnelStages,
     report: "PipelineReport",
     batch_size: int = BATCH_SIZE,
 ) -> list[tuple[int, CollectedTweet]]:
@@ -150,7 +179,5 @@ def process_stream(
     """
     records: list[tuple[int, CollectedTweet]] = []
     for batch in iter_batches(source, batch_size):
-        records.extend(
-            process_batch(batch, config, track, geocoder, matcher, report)
-        )
+        records.extend(process_batch(batch, stages, report))
     return records

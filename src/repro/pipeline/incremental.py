@@ -1,11 +1,12 @@
 """Resumable, checkpointed collection.
 
 The paper's dataset took 385 days of continuous collection; any real
-collector restarts many times in such a window.  This module wraps the
-pipeline in an append-only JSONL sink plus a JSON checkpoint (last
-processed tweet id and cumulative counters), so a collection can stop at
-any point and resume exactly where it left off without duplicating or
-dropping records.
+collector restarts many times in such a window.  This module runs the
+shared funnel (:mod:`repro.pipeline.batch`) over checkpoint-sized chunks
+of the stream, appending the survivors to a JSONL sink and recording a
+JSON checkpoint (last processed tweet id and cumulative counters) after
+each chunk, so a collection can stop at any point and resume exactly
+where it left off without duplicating or dropping records.
 
 Crash safety: all writes go through :mod:`repro.storage` — the sink is
 fsynced *before* every checkpoint save (so a durable checkpoint always
@@ -34,20 +35,16 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from repro.dataset.corpus import TweetCorpus
 
 from repro.config import CollectionConfig, ResiliencePolicy
 from repro.dataset.io import read_jsonl
-from repro.dataset.records import CollectedTweet
 from repro.errors import PipelineError, SerializationError
-from repro.geo.geocoder import Geocoder
-from repro.nlp.keywords import build_query_set, matches_query_set
-from repro.nlp.matcher import OrganMatcher
-from repro.pipeline.augment import augment_location
-from repro.pipeline.usfilter import is_us_located
+from repro.pipeline.batch import build_stages, process_stream
+from repro.pipeline.runner import PipelineReport
 from repro.storage.fs import LOCAL_FS, FileSystem
 from repro.storage.manifest import (
     build_manifest,
@@ -118,11 +115,7 @@ class IncrementalCollector:
         self.config = config or CollectionConfig()
         self.resilience = resilience or ResiliencePolicy()
         self.reliability: ReliabilityReport | None = None
-        self._queries = build_query_set(
-            self.config.context_terms, self.config.subject_terms
-        )
-        self._geocoder = Geocoder()
-        self._matcher = OrganMatcher()
+        self._stages = build_stages(self.config)
         self.checkpoint = self._load_checkpoint()
         self._recover()
 
@@ -319,48 +312,50 @@ class IncrementalCollector:
             self.reliability = resilient.report
             source = resilient
         written = 0
-        since_checkpoint = 0
+        pending: list[Tweet] = []
+        last_id = self.checkpoint.last_tweet_id
         # Sanctioned raw append (DESIGN §15): the corpus sink is an
         # append-only journal whose durability contract is fsync-before-
         # checkpoint plus torn-tail recovery on resume — AtomicWriter's
         # whole-file rewrite would turn O(batch) appends into O(corpus).
         # reprolint: disable-next-line=RPL103
         with self.fs.open(self.corpus_path, "a") as sink:
-            for tweet in source:
-                if tweet.tweet_id <= self.checkpoint.last_tweet_id:
-                    continue  # already processed in a previous run
-                self.checkpoint.seen += 1
-                record = self._process(tweet)
-                if record is not None:
-                    sink.write(
-                        json.dumps(record.to_dict(), ensure_ascii=False)
-                    )
-                    sink.write("\n")
-                    self.checkpoint.retained += 1
-                    written += 1
-                self.checkpoint.last_tweet_id = tweet.tweet_id
-                since_checkpoint += 1
-                if since_checkpoint >= checkpoint_every:
-                    self.fs.fsync(sink)
-                    self._save_checkpoint()
-                    since_checkpoint = 0
+            try:
+                for tweet in source:
+                    if tweet.tweet_id <= last_id:
+                        continue  # already processed
+                    last_id = tweet.tweet_id
+                    pending.append(tweet)
+                    if len(pending) >= checkpoint_every:
+                        chunk, pending = pending, []
+                        written += self._append(chunk, sink)
+                        self.fs.fsync(sink)
+                        self._save_checkpoint()
+            finally:
+                # Also when the source dies mid-chunk: the records of the
+                # tweets it delivered are appended unsynced and without a
+                # checkpoint, and the next run's recovery adopts them.
+                written += self._append(pending, sink)
             self.fs.fsync(sink)
         self._save_checkpoint()
         self._write_corpus_manifest()
         return written
 
-    def _process(self, tweet: Tweet) -> CollectedTweet | None:
-        if not matches_query_set(tweet.text, self._queries):
-            return None
-        match = augment_location(tweet, self._geocoder, self.config)
-        if not is_us_located(match, self.config):
-            return None
-        mentions = self._matcher.mentions(tweet.text)
-        if not mentions:
-            return None
-        return CollectedTweet(
-            tweet=tweet, location=match, mentions=dict(mentions)
-        )
+    def _append(self, chunk: list[Tweet], sink: IO[Any]) -> int:
+        """Run the funnel over ``chunk`` and append its records in order.
+
+        Advances the in-memory checkpoint past the chunk; the caller
+        decides when it becomes durable.
+        """
+        tagged = process_stream(enumerate(chunk), self._stages, PipelineReport())
+        for __, record in tagged:
+            sink.write(json.dumps(record.to_dict(), ensure_ascii=False))
+            sink.write("\n")
+        if chunk:
+            self.checkpoint.last_tweet_id = chunk[-1].tweet_id
+        self.checkpoint.seen += len(chunk)
+        self.checkpoint.retained += len(tagged)
+        return len(tagged)
 
     def load_corpus(self) -> TweetCorpus:
         """The accumulated corpus across all runs.

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from repro.nlp.automaton import TermVocabulary
-from repro.nlp.tokenize import present_terms
 from repro.twitter.errors import InvalidTrackError, StreamClosedError
 from repro.twitter.models import Tweet
 
@@ -24,8 +23,8 @@ class TrackFilter:
     tokenizer sweep + one automaton sweep per hashtag, instead of a
     Python loop over every vocabulary term), and phrases are indexed by
     an *anchor* term so only phrases whose anchor is present are subset-
-    checked.  :meth:`matches_naive` keeps the original per-term scan as
-    the equivalence oracle.
+    checked.  The per-term scan it replaced lives on as the equivalence
+    oracle in ``tests/oracles.py``.
 
     Args:
         phrases: Track phrases; each phrase's space-separated terms must all
@@ -82,17 +81,6 @@ class TrackFilter:
                 if phrase_set <= present:
                     return True
         return False
-
-    def matches_naive(self, text: str) -> bool:
-        """Reference implementation via :func:`present_terms`.
-
-        Kept off the hot path as the oracle the automaton path is
-        property-tested against.
-        """
-        present = present_terms(text, self._vocabulary)
-        if not present:
-            return False
-        return any(terms <= present for terms in self._phrase_sets)
 
 
 class FilteredStream:

@@ -1,10 +1,10 @@
-"""Tests for the batched hot-path engine.
+"""Tests for the batched funnel engine.
 
-The batch engine inlines the keyword filter + :func:`process_matched`
-funnel into one tight loop; these tests hold the two formulations in
-lockstep — same records, same provenance counters — over a real
-synthetic firehose, so any drift between the inlined conditions and
-:func:`augment_location` / :func:`is_us_located` fails loudly.
+The engine is held in lockstep with a per-tweet reference funnel built
+from the naive oracles (``tests/oracles.py``) — same records, same nine
+provenance counters — over a real synthetic firehose, so any drift in
+the keyword filter, geocoding, US filter or mention extraction fails
+loudly.
 """
 
 from __future__ import annotations
@@ -12,38 +12,17 @@ from __future__ import annotations
 import pytest
 
 from repro.config import CollectionConfig
-from repro.geo.geocoder import Geocoder
-from repro.nlp.keywords import build_query_set, track_phrases
 from repro.nlp.matcher import OrganMatcher
-from repro.pipeline.batch import BATCH_SIZE, iter_batches, process_stream
-from repro.pipeline.runner import PipelineReport, process_matched
-from repro.twitter.stream import TrackFilter
-
-
-def _track_filter(config: CollectionConfig) -> TrackFilter:
-    return TrackFilter(
-        track_phrases(
-            build_query_set(config.context_terms, config.subject_terms)
-        )
-    )
-
-
-def _reference_run(source, config):
-    """The unbatched formulation: keyword filter + process_matched."""
-    report = PipelineReport()
-    geocoder = Geocoder()
-    matcher = OrganMatcher()
-    track = _track_filter(config)
-    tagged = []
-    for position, tweet in enumerate(source):
-        if not track.matches(tweet.text):
-            report.stream_dropped += 1
-            continue
-        report.collected += 1
-        record = process_matched(tweet, geocoder, matcher, config, report)
-        if record is not None:
-            tagged.append((position, record))
-    return tagged, report
+from repro.organs import Organ
+from repro.pipeline.batch import (
+    BATCH_SIZE,
+    build_stages,
+    iter_batches,
+    process_stream,
+)
+from repro.pipeline.runner import PipelineReport
+from repro.twitter.models import Tweet, UserProfile
+from tests.oracles import reference_funnel
 
 
 class TestIterBatches:
@@ -75,15 +54,12 @@ class TestBatchFunnelLockstep:
 
     def test_records_and_report_identical(self, firehose):
         config = CollectionConfig()
-        expected_records, expected_report = _reference_run(firehose, config)
+        expected_records, expected_report = reference_funnel(firehose, config)
 
         report = PipelineReport()
         records = process_stream(
             enumerate(firehose),
-            config,
-            _track_filter(config),
-            Geocoder(),
-            OrganMatcher(),
+            build_stages(config),
             report,
         )
 
@@ -99,10 +75,7 @@ class TestBatchFunnelLockstep:
             report = PipelineReport()
             records = process_stream(
                 enumerate(sample),
-                config,
-                _track_filter(config),
-                Geocoder(),
-                OrganMatcher(),
+                build_stages(config),
                 report,
                 batch_size=size,
             )
@@ -117,10 +90,7 @@ class TestBatchFunnelLockstep:
         report = PipelineReport()
         records = process_stream(
             enumerate(firehose[:5_000]),
-            config,
-            _track_filter(config),
-            Geocoder(),
-            OrganMatcher(),
+            build_stages(config),
             report,
         )
         positions = [position for position, __ in records]
@@ -132,10 +102,7 @@ class TestBatchFunnelLockstep:
         sample = firehose[:5_000]
         process_stream(
             enumerate(sample),
-            config,
-            _track_filter(config),
-            Geocoder(),
-            OrganMatcher(),
+            build_stages(config),
             report,
         )
         assert report.stream_dropped + report.collected == len(sample)
@@ -150,3 +117,33 @@ class TestBatchFunnelLockstep:
             == report.located_gps + report.located_profile
         )
         assert report.no_mentions + report.retained == report.us_located
+
+
+class TestUsYield:
+    def test_us_yield_counts_us_located_without_mentions(self):
+        """Regression: us_yield divided `retained`/`collected`, excluding
+        US-located tweets whose keyword match had no extractable organ
+        mention — but the paper's 134,986/975,021 footnote counts every
+        tweet identified as from a USA user."""
+
+        def tweet(text, location, tweet_id):
+            user = UserProfile(user_id=1, screen_name="u1", location=location)
+            return Tweet(tweet_id=tweet_id, user=user, text=text)
+
+        # A matcher that knows fewer aliases than the track vocabulary:
+        # "kidney donor" is collected but yields no extractable mention.
+        stages = build_stages(CollectionConfig())
+        stages.matcher = OrganMatcher(aliases={"liver": Organ.LIVER})
+        source = [
+            tweet("liver donor", "Wichita, KS", 1),
+            tweet("kidney donor", "Topeka, KS", 2),
+            tweet("liver donor", "London", 3),
+        ]
+        report = PipelineReport()
+        records = process_stream(enumerate(source), stages, report)
+        assert [position for position, __ in records] == [0]
+        assert report.no_mentions == 1
+        assert report.us_located == 2
+        assert report.retained == 1
+        assert report.us_yield == pytest.approx(2 / 3)
+        assert report.retention == pytest.approx(1 / 3)

@@ -92,6 +92,51 @@ class TestResume:
         assert state["last_tweet_id"] == 6
 
 
+class TestCheckpointCadence:
+    def test_saved_checkpoints_over_an_overlapping_stream(
+        self, paths, monkeypatch
+    ):
+        """Every saved (last_tweet_id, seen, retained), in order: one
+        save per ``checkpoint_every`` not-yet-seen tweets, plus the final
+        save (repeated when the last chunk is full)."""
+        corpus_path, __ = paths
+        saved = []
+        original = IncrementalCollector._save_checkpoint
+
+        def recording(collector):
+            checkpoint = collector.checkpoint
+            saved.append(
+                (checkpoint.last_tweet_id, checkpoint.seen, checkpoint.retained)
+            )
+            original(collector)
+
+        monkeypatch.setattr(IncrementalCollector, "_save_checkpoint", recording)
+        IncrementalCollector(corpus_path).run(
+            [tweet(i) for i in range(6)], checkpoint_every=3
+        )
+        assert saved == [(2, 3, 3), (5, 6, 6), (5, 6, 6)]
+
+        # Overlaps the first run (3-5), replays ids mid-stream (8, 4),
+        # and mixes in off-topic (7, 10) and foreign (12) tweets.
+        off_topic, foreign = {7, 10}, {12}
+        ids = [3, 4, 5, 6, 7, 8, 8, 9, 10, 4, 11, 12, 13]
+        stream = [
+            tweet(
+                i,
+                text="nice sunset" if i in off_topic else "kidney donor",
+                location="London" if i in foreign else "Wichita, KS",
+            )
+            for i in ids
+        ]
+        saved.clear()
+        collector = IncrementalCollector(corpus_path)
+        assert collector.run(stream, checkpoint_every=3) == 5
+        assert saved == [(8, 9, 8), (11, 12, 10), (13, 14, 11)]
+        assert [r.tweet.tweet_id for r in collector.load_corpus().records] == [
+            0, 1, 2, 3, 4, 5, 6, 8, 9, 11, 13,
+        ]
+
+
 class TestFailureModes:
     def test_corrupt_checkpoint_raises(self, paths):
         corpus_path, checkpoint_path = paths

@@ -5,9 +5,9 @@ Three equivalences, each locked over randomized inputs:
 * :meth:`TermVocabulary.present` ≡ :func:`present_terms` for randomized
   vocabularies with deliberately overlapping terms (``organ`` inside
   ``organdonor``) against texts that glue those terms into hashtags;
-* :meth:`TrackFilter.matches` ≡ :meth:`TrackFilter.matches_naive` on the
-  production track phrases;
-* :meth:`OrganMatcher.mentions` ≡ :meth:`OrganMatcher.mentions_naive`.
+* :meth:`TrackFilter.matches` ≡ :class:`tests.oracles.NaiveTrackFilter`
+  on the production track phrases;
+* :meth:`OrganMatcher.mentions` ≡ :class:`tests.oracles.NaiveOrganMatcher`.
 
 The randomized-vocabulary suite runs under three fixed seeds so a
 regression reproduces deterministically from the failing test id alone.
@@ -26,14 +26,16 @@ from repro.nlp.keywords import build_query_set, track_phrases
 from repro.nlp.matcher import OrganMatcher
 from repro.nlp.tokenize import present_terms
 from repro.twitter.stream import TrackFilter
+from tests.oracles import NaiveOrganMatcher, NaiveTrackFilter
 
 _MATCHER = OrganMatcher()
+_MATCHER_NAIVE = NaiveOrganMatcher()
 _CONFIG = CollectionConfig()
-_TRACK = TrackFilter(
-    track_phrases(
-        build_query_set(_CONFIG.context_terms, _CONFIG.subject_terms)
-    )
+_PHRASES = track_phrases(
+    build_query_set(_CONFIG.context_terms, _CONFIG.subject_terms)
 )
+_TRACK = TrackFilter(_PHRASES)
+_TRACK_NAIVE = NaiveTrackFilter(_PHRASES)
 
 tweet_text = st.text(
     alphabet=string.ascii_letters + string.digits + " #@.,'!-:/🙏❤🌍",
@@ -111,7 +113,7 @@ class TestTrackFilterEquivalence:
     @given(tweet_text)
     @settings(max_examples=200)
     def test_matches_equals_naive(self, text):
-        assert _TRACK.matches(text) == _TRACK.matches_naive(text)
+        assert _TRACK.matches(text) == _TRACK_NAIVE.matches(text)
 
     @pytest.mark.parametrize("seed", [11, 22, 33])
     def test_randomized_texts_over_production_phrases(self, seed):
@@ -119,7 +121,7 @@ class TestTrackFilterEquivalence:
         vocabulary = list(_STEMS)
         for __ in range(300):
             text = _random_text(rng, vocabulary)
-            assert _TRACK.matches(text) == _TRACK.matches_naive(text), (
+            assert _TRACK.matches(text) == _TRACK_NAIVE.matches(text), (
                 f"divergence on text={text!r}"
             )
 
@@ -128,7 +130,7 @@ class TestMatcherEquivalence:
     @given(tweet_text)
     @settings(max_examples=200)
     def test_mentions_equals_naive(self, text):
-        assert _MATCHER.mentions(text) == _MATCHER.mentions_naive(text)
+        assert _MATCHER.mentions(text) == _MATCHER_NAIVE.mentions(text)
 
     @pytest.mark.parametrize("seed", [11, 22, 33])
     def test_randomized_organ_texts(self, seed):
@@ -136,6 +138,6 @@ class TestMatcherEquivalence:
         vocabulary = ["kidney", "liver", "heart", "lung", "pancreas", "cornea"]
         for __ in range(300):
             text = _random_text(rng, vocabulary)
-            assert _MATCHER.mentions(text) == _MATCHER.mentions_naive(text), (
+            assert _MATCHER.mentions(text) == _MATCHER_NAIVE.mentions(text), (
                 f"divergence on text={text!r}"
             )

@@ -202,6 +202,27 @@ class TestRun:
         ]
 
 
+class TestPipelineEquivalence:
+    def test_wide_window_keeps_exactly_the_pipeline_records(
+        self, small_world, corpus
+    ):
+        """With a window wider than the stream nothing is evicted or
+        stale, so the sensor must hold the serial pipeline's corpus."""
+        sensor = RollingAwarenessSensor(window=timedelta(days=100_000))
+        for item in small_world.firehose():
+            sensor.observe(item)
+        window = list(sensor._buffer)
+        assert sensor.stale_dropped == 0
+        assert sensor.retained == len(corpus)
+        assert [r.tweet.tweet_id for r in window] == [
+            r.tweet.tweet_id for r in corpus.records
+        ]
+        assert [r.state for r in window] == [r.state for r in corpus.records]
+        assert [r.mentions for r in window] == [
+            r.mentions for r in corpus.records
+        ]
+
+
 class TestValidation:
     def test_non_positive_window_rejected(self):
         with pytest.raises(ConfigError):
