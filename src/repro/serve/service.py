@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -787,8 +788,10 @@ def _request_from_dict(data: dict[str, object]) -> QueryRequest:
         raise QueryError("kind must be a non-empty string")
     if not isinstance(arrival, (int, float)) or isinstance(arrival, bool):
         raise QueryError("arrival must be a number")
-    if arrival < 0:
-        raise QueryError("arrival must be >= 0")
+    # json.loads accepts NaN and ±Infinity; a non-finite arrival would
+    # stall the simulated clock and write non-JSON response tokens.
+    if not math.isfinite(arrival) or arrival < 0:
+        raise QueryError("arrival must be a finite number >= 0")
     params_raw = data.get("params", {})
     if not isinstance(params_raw, dict):
         raise QueryError("params must be an object")
@@ -801,9 +804,10 @@ def _request_from_dict(data: dict[str, object]) -> QueryRequest:
         if (
             not isinstance(deadline_raw, (int, float))
             or isinstance(deadline_raw, bool)
+            or not math.isfinite(deadline_raw)
             or deadline_raw <= 0
         ):
-            raise QueryError("deadline must be a positive number")
+            raise QueryError("deadline must be a finite positive number")
         deadline = float(deadline_raw)
     return QueryRequest(
         request_id=request_id,

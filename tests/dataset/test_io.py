@@ -1,5 +1,8 @@
 """Tests for JSONL persistence."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.dataset.io import read_jsonl, write_jsonl
@@ -152,8 +155,21 @@ class TestAtomicWrites:
     def test_write_leaves_integrity_sidecar(self, tmp_path):
         from repro.storage.manifest import load_manifest, verify_file
 
+        originals = records(4)
+        originals[1] = dataclasses.replace(
+            originals[1],
+            tweet=dataclasses.replace(
+                originals[1].tweet, text="kidney donor 🙏 ❤"
+            ),
+        )
         path = tmp_path / "corpus.jsonl"
-        write_jsonl(records(4), path)
+        write_jsonl(originals, path)
+        # The atomic path writes exactly the bytes of a plain buffered
+        # write of the same records; durability adds only the sidecar.
+        assert path.read_bytes() == "".join(
+            json.dumps(record.to_dict(), ensure_ascii=False) + "\n"
+            for record in originals
+        ).encode("utf-8")
         manifest = load_manifest(path)
         assert manifest is not None
         assert manifest.records == 4

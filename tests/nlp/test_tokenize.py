@@ -1,6 +1,10 @@
 """Tests for the tweet tokenizer."""
 
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nlp.tokenize import (
     Token,
@@ -100,6 +104,32 @@ class TestUrlTrailingPunctuation:
         ]
 
 
+def assert_scan_agrees_with_tokenize(text: str) -> None:
+    tokens = tokenize(text)
+    assert scan_words_hashtags(text) == (
+        tuple(t.text for t in tokens if t.kind is TokenKind.WORD),
+        tuple(t.text for t in tokens if t.kind is TokenKind.HASHTAG),
+    ), f"scan diverged from tokenize on {text!r}"
+
+
+#: Tweet fragments glued in any order: every token class, compounds with
+#: each separator, case, digits, emoji and the punctuation around URLs.
+_FRAGMENTS = (
+    " ", "\n", "kidney", "Donor", "heart-lung", "donor's", "donor’s",
+    "#OrganDonor", "#kidney_donor", "@UNOS", "https://x.co/a",
+    "(https://example.org/x),", "14", "3.5", "1,000", "🙏", "É", "-", "'",
+    "’", "#", "@", "_", ".", "!", "(", ")",
+)
+
+tweet_text = st.lists(
+    st.one_of(
+        st.sampled_from(_FRAGMENTS),
+        st.text(alphabet=string.ascii_letters + string.digits, max_size=4),
+    ),
+    max_size=30,
+).map("".join)
+
+
 class TestScanWordsHashtags:
     @pytest.mark.parametrize(
         "text",
@@ -112,11 +142,16 @@ class TestScanWordsHashtags:
         ],
     )
     def test_agrees_with_tokenize(self, text):
-        tokens = tokenize(text)
-        assert scan_words_hashtags(text) == (
-            tuple(t.text for t in tokens if t.kind is TokenKind.WORD),
-            tuple(t.text for t in tokens if t.kind is TokenKind.HASHTAG),
-        )
+        assert_scan_agrees_with_tokenize(text)
+
+    @given(st.one_of(tweet_text, st.text(max_size=80)))
+    @settings(max_examples=300)
+    def test_agrees_with_tokenize_on_arbitrary_text(self, text):
+        assert_scan_agrees_with_tokenize(text)
+
+    def test_agrees_with_tokenize_over_a_firehose(self, small_world):
+        for tweet in small_world.firehose():
+            assert_scan_agrees_with_tokenize(tweet.text)
 
 
 class TestSplitCompound:

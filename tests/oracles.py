@@ -10,8 +10,8 @@
   built from the two oracles plus :func:`augment_location` and
   :func:`is_us_located`; the oracle for :mod:`repro.pipeline.batch`.
 
-None of this runs in production; the property suites, the batch
-lockstep test and ``benchmarks/perf/hotpath.py`` compare against it.
+None of this runs in production; the property suites and the batch
+lockstep test compare against it.
 """
 
 from __future__ import annotations

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.faults.load import LoadFaultPlan
 from repro.serve.admission import AdmissionPolicy
@@ -71,6 +76,12 @@ class TestRequestParsing:
                     json.dumps(
                         {"id": "r", "kind": "health", "deadline": 0}
                     ),
+                    # json.loads parses NaN and ±Infinity into floats.
+                    *(
+                        json.dumps({"id": "r", "kind": "health", key: value})
+                        for key in ("arrival", "deadline")
+                        for value in (math.nan, math.inf, -math.inf)
+                    ),
                     json.dumps({"id": "ok", "kind": "health"}),
                 ]
             )
@@ -79,9 +90,7 @@ class TestRequestParsing:
         assert [req.request_id for req in requests] == ["ok"]
         assert malformed == (
             ("line-1", "malformed_json"),
-            ("line-2", "malformed_request"),
-            ("line-3", "malformed_request"),
-            ("line-4", "malformed_request"),
+            *((f"line-{n}", "malformed_request") for n in range(2, 11)),
         )
 
 
@@ -312,3 +321,49 @@ class TestStorms:
         assert result.report.submitted == 2
         assert result.report.dead_lettered == 1
         assert result.report.accounted
+
+
+class TestServeCommand:
+    def test_nan_arrival_is_dead_lettered(self, serve_run_dir, tmp_path):
+        # Out of process, so a request that stalls the simulated clock
+        # fails this test on the timeout instead of hanging the suite.
+        requests_path = tmp_path / "requests.jsonl"
+        requests_path.write_text(
+            json.dumps({"id": "r1", "kind": "health", "arrival": 0.0})
+            + "\n"
+            + '{"id": "nan", "kind": "health", "arrival": NaN}\n'
+            + json.dumps({"id": "r2", "kind": "health", "arrival": 1.0})
+            + "\n"
+        )
+        output = tmp_path / "responses.jsonl"
+        src = Path(__file__).resolve().parents[2] / "src"
+        pythonpath = os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "serve", str(serve_run_dir),
+                "--requests", str(requests_path), "--output", str(output),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=False,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "accounting: exact" in result.stdout
+        assert "requests dead-lettered: 1" in result.stdout
+
+        def reject(token: str) -> float:
+            raise AssertionError(f"non-JSON token {token} in responses")
+
+        responses = [
+            json.loads(line, parse_constant=reject)
+            for line in output.read_text(encoding="utf-8").splitlines()
+        ]
+        assert [(r["request_id"], r["outcome"]) for r in responses] == [
+            ("line-2", "dead_lettered"),
+            ("r1", "completed"),
+            ("r2", "completed"),
+        ]
