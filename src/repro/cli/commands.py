@@ -3,6 +3,11 @@
 Each command returns a process exit code (0 on success).  Commands print
 human-readable progress to stdout; file outputs are JSONL (firehose,
 corpus) or plain text (artifacts).
+
+Every command builds its config objects from the options before any
+costly work or write, so an out-of-range value raises
+:class:`~repro.errors.ConfigError` first; :func:`repro.cli.main.main`
+reports it as ``error: …`` with exit code 2.
 """
 
 from __future__ import annotations
@@ -315,18 +320,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: unknown artifacts {unknown}; "
               f"choose from {', '.join(_ARTIFACTS)}")
         return 2
+    config = AnalysisConfig(
+        relative_risk=RelativeRiskConfig(alpha=args.alpha),
+        user_clustering=UserClusteringConfig(k=args.k),
+    )
     try:
         corpus = TweetCorpus(read_jsonl(args.corpus))
     except (ReproError, OSError) as exc:
         print(f"error: {exc}")
         return 1
-    suite = ExperimentSuite(
-        corpus,
-        config=AnalysisConfig(
-            relative_risk=RelativeRiskConfig(alpha=args.alpha),
-            user_clustering=UserClusteringConfig(k=args.k),
-        ),
-    )
+    suite = ExperimentSuite(corpus, config=config)
     runners = {
         "table1": lambda: suite.run_table1().render(),
         "fig2": lambda: suite.run_fig2().render(),

@@ -7,6 +7,7 @@ import sys
 from collections.abc import Sequence
 
 from repro.cli import commands
+from repro.errors import ConfigError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,7 +261,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run the CLI; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return int(args.func(args))
+    try:
+        return int(args.func(args))
+    except ConfigError as exc:
+        # An out-of-range option value is a usage error: exit 2, like
+        # every other bad argument, with no traceback.
+        print(f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

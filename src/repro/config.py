@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.nlp.keywords import CONTEXT_TERMS, SUBJECT_TERMS
+from repro.organs import N_ORGANS
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,16 +152,12 @@ class UserClusteringConfig:
     """Configuration for the K-Means user characterization (§IV-C).
 
     Attributes:
-        k: number of clusters; the paper selects 12.
+        k: number of clusters; the paper selects 12, and k must be at
+            least the number of organs so each organ can own a cluster.
         n_init: k-means++ restarts; the best inertia wins.
         max_iter: Lloyd iteration cap per restart.
         tol: relative center-shift convergence tolerance.
         seed: RNG seed for reproducible clustering.
-        workers: processes to fan K-Means restarts (and model-selection
-            sweeps) across; results are identical for any value.
-        silhouette_memory_mb: memory budget for chunked silhouette
-            evaluation — bounds the distance-block working set instead of
-            materializing the full m×m matrix.
     """
 
     k: int = 12
@@ -168,23 +165,17 @@ class UserClusteringConfig:
     max_iter: int = 200
     tol: float = 1e-6
     seed: int = 0
-    workers: int = 1
-    silhouette_memory_mb: float = 256.0
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.k < N_ORGANS:
+            # The paper's constraint: at least one cluster per organ.
+            raise ConfigError(
+                f"k must be >= {N_ORGANS} (one cluster per organ), got {self.k}"
+            )
         if self.n_init < 1:
             raise ConfigError(f"n_init must be >= 1, got {self.n_init}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.silhouette_memory_mb <= 0:
-            raise ConfigError(
-                "silhouette_memory_mb must be > 0, got "
-                f"{self.silhouette_memory_mb}"
-            )
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,9 +5,8 @@ not just the argmax organ.  The paper chooses k = 12 after comparing
 inertia, average cluster size, and silhouette coefficient across k, noting
 k must be at least the number of organs so each organ can own a cluster.
 
-The k-sweep is the model-selection hot path — |ks| independent fits of
-the full matrix — so :func:`sweep_k` can fan the candidate ks across
-worker processes; the sweep result is identical for any worker count.
+:func:`sweep_k` is the model-selection step: one in-process fit of the
+full matrix per candidate k, in the order given.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ from repro.config import UserClusteringConfig
 from repro.core.aggregation import ranked_profile
 from repro.core.attention import AttentionMatrix
 from repro.errors import ClusteringError
-from repro.faults.compute import WorkerFaultPlan
 from repro.organs import N_ORGANS, Organ
-from repro.supervise import SupervisorPolicy, run_supervised
 
 #: Silhouette subsample cap; full silhouette is O(m²) and the paper-scale
 #: matrix has ~72k rows.
@@ -98,25 +95,18 @@ def cluster_users(
 ) -> UserClustering:
     """Run the Fig. 7 user clustering."""
     config = config or UserClusteringConfig()
-    if config.k < N_ORGANS:
-        # The paper's constraint: at least one cluster per organ.
-        raise ClusteringError(
-            f"k must be >= {N_ORGANS} (one cluster per organ), got {config.k}"
-        )
     result = KMeans(
         k=config.k,
         n_init=config.n_init,
         max_iter=config.max_iter,
         tol=config.tol,
         seed=config.seed,
-        workers=config.workers,
     ).fit(attention.normalized)
     score = silhouette_score(
         attention.normalized,
         result.labels,
         sample_size=_SILHOUETTE_SAMPLE,
         seed=config.seed,
-        memory_budget_mb=config.silhouette_memory_mb,
     )
     return UserClustering(
         result=result,
@@ -129,54 +119,14 @@ def sweep_k(
     attention: AttentionMatrix,
     ks: tuple[int, ...] = tuple(range(N_ORGANS, 21)),
     config: UserClusteringConfig | None = None,
-    workers: int = 1,
-    supervisor: SupervisorPolicy | None = None,
-    worker_faults: WorkerFaultPlan | None = None,
 ) -> KSelectionSweep:
     """Evaluate K-Means across candidate k (the paper's selection step).
 
-    With ``workers > 1`` the candidate ks fan out across supervised
-    worker processes, one independent fit per k; each in-process fit then
-    runs its restarts serially (nesting pools would oversubscribe).  The
-    sweep is deterministic and identical for any worker count and any
-    recoverable fault schedule; a candidate k quarantined after
-    exhausting its retries raises — a model-selection curve with silent
-    holes would bias the chosen k.
-
-    Args:
-        supervisor: retry/deadline policy for the supervised pool; forces
-            the supervised path even at ``workers=1``.
-        worker_faults: compute-fault plan injected into sweep workers
-            (chaos testing); forces the supervised path even at
-            ``workers=1``.
-
-    Raises:
-        ClusteringError: if ``workers`` is not a positive integer, or a
-            candidate k was quarantined by the supervisor.
+    Each candidate k is one independent fit of the full matrix, evaluated
+    in the order given; the sweep is deterministic per config seed.
     """
     base = config or UserClusteringConfig()
-    if workers < 1:
-        raise ClusteringError(f"workers must be >= 1, got {workers}")
-    supervised = supervisor is not None or worker_faults is not None
-    if workers == 1 and not supervised:
-        evaluations = [_evaluate_one_k(attention, k, base) for k in ks]
-    else:
-        outcomes, health = run_supervised(
-            _sweep_point_task,
-            [(attention, k, base) for k in ks],
-            workers=min(workers, max(len(ks), 1)),
-            policy=supervisor,
-            fault_plan=worker_faults,
-            labels=[f"k={k}" for k in ks],
-        )
-        if health.degraded:
-            lost = ", ".join(letter.label for letter in health.dead_letters)
-            raise ClusteringError(
-                "k-sweep candidates were quarantined after exhausting "
-                f"retries ({lost}); refusing to select k from a curve "
-                "with holes"
-            )
-        evaluations = [outcome for outcome in outcomes if outcome is not None]
+    evaluations = [_evaluate_one_k(attention, k, base) for k in ks]
     inertias, silhouettes, avg_sizes = (
         zip(*evaluations) if evaluations else ((), (), ())
     )
@@ -188,22 +138,10 @@ def sweep_k(
     )
 
 
-def _sweep_point_task(
-    payload: tuple[AttentionMatrix, int, UserClusteringConfig],
-) -> tuple[float, float, float]:
-    """Worker entry point: unpack one supervised-pool sweep point."""
-    attention, k, base = payload
-    return _evaluate_one_k(attention, k, base)
-
-
 def _evaluate_one_k(
     attention: AttentionMatrix, k: int, base: UserClusteringConfig
 ) -> tuple[float, float, float]:
-    """One sweep point: (inertia, silhouette, avg size) for one k.
-
-    Module-level so sweep workers can unpickle it.  Restarts stay serial
-    inside a sweep worker — the sweep itself is the fan-out axis.
-    """
+    """One sweep point: (inertia, silhouette, avg size) for one k."""
     clustering = cluster_users(
         attention,
         UserClusteringConfig(
@@ -212,7 +150,6 @@ def _evaluate_one_k(
             max_iter=base.max_iter,
             tol=base.tol,
             seed=base.seed,
-            silhouette_memory_mb=base.silhouette_memory_mb,
         ),
     )
     return (

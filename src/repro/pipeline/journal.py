@@ -52,7 +52,7 @@ from repro.dataset.io import (
     write_jsonl,
     write_tweets_jsonl,
 )
-from repro.errors import PipelineError
+from repro.errors import ConfigError, PipelineError
 from repro.faults.compute import WorkerFaultPlan
 from repro.obs import NULL_TELEMETRY, Telemetry, activate
 from repro.obs.export import TRACE_FILENAME, write_trace
@@ -77,6 +77,10 @@ class RunParams:
         chaos_seed: transport fault-plan seed.
         worker_chaos: inject compute faults into the supervised pool.
         worker_chaos_seed: compute fault-plan seed.
+
+    Raises:
+        ConfigError: on a value a stage would reject, so a run that
+            cannot finish is refused before it starts.
     """
 
     scale: float = 0.01
@@ -88,6 +92,15 @@ class RunParams:
     chaos_seed: int = 0
     worker_chaos: bool = False
     worker_chaos_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.scale <= 0:
+            raise ConfigError(f"scale must be > 0, got {self.scale}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        # The configs the analysis stages build; each validates itself.
+        RelativeRiskConfig(alpha=self.alpha)
+        UserClusteringConfig(k=self.k)
 
     def to_dict(self) -> dict[str, object]:
         return {spec.name: getattr(self, spec.name) for spec in fields(self)}

@@ -20,7 +20,7 @@ the results so that the outcome is *indistinguishable* from a serial run:
 * **Slim IPC** — under the ``fork`` start method workers inherit the
   shard lists by copy-on-write and are dispatched a bare shard *index*;
   results come back as raw JSON-line frames
-  (:mod:`repro.pipeline.wire`) via the supervisor's tagged-bytes path,
+  (:mod:`repro.pipeline.wire`), the bytes every supervised task returns,
   so no tweet object graph is pickled in either direction.
 
 *Transport*-level fault injection / resilient consumption happens in the
@@ -46,7 +46,7 @@ from repro.pipeline.batch import build_stages, process_stream
 from repro.pipeline.runner import PipelineReport
 from repro.pipeline.wire import decode_shard_result, encode_shard_result
 from repro.procpool import pick_start_method
-from repro.supervise import RawResult, SupervisorPolicy, run_supervised
+from repro.supervise import SupervisorPolicy, run_supervised
 from repro.twitter.models import Tweet
 
 #: One shard is a list of (original stream position, tweet).
@@ -123,33 +123,28 @@ def _run_shard(
 _FORK_STATE: tuple[list[Shard], CollectionConfig, bool] | None = None
 
 
-def _shard_task_fork(index: int) -> RawResult:
+def _shard_task_fork(index: int) -> bytes:
     """Fork-mode worker entry point: look the shard up, return a frame.
 
     The result is wire-encoded in the worker
-    (:func:`repro.pipeline.wire.encode_shard_result`) and shipped as a
-    :class:`~repro.supervise.RawResult`, so the record graph crosses the
-    result pipe as raw JSON lines, not pickle.
+    (:func:`repro.pipeline.wire.encode_shard_result`), so the record
+    graph crosses the result pipe as raw JSON lines, not pickle.
     """
     state = _FORK_STATE
     if state is None:  # pragma: no cover - dispatch bug guard
         raise RuntimeError("fork shard state is not set in this process")
     shards, config, trace_enabled = state
-    return RawResult(
-        encode_shard_result(
-            *_run_shard(index, shards[index], config, trace_enabled)
-        )
+    return encode_shard_result(
+        *_run_shard(index, shards[index], config, trace_enabled)
     )
 
 
 def _shard_task(
     payload: tuple[int, Shard, CollectionConfig, bool],
-) -> RawResult:
+) -> bytes:
     """Spawn-compatible worker entry point carrying the shard itself."""
     index, shard, config, trace_enabled = payload
-    return RawResult(
-        encode_shard_result(*_run_shard(index, shard, config, trace_enabled))
-    )
+    return encode_shard_result(*_run_shard(index, shard, config, trace_enabled))
 
 
 def run_sharded(
@@ -190,7 +185,7 @@ def run_sharded(
         global _FORK_STATE
         labels = [f"shard {index}" for index in range(len(shards))]
         fork = pick_start_method() == "fork"
-        outcomes: list[RawResult | None]
+        outcomes: list[bytes | None]
         if fork:
             # Slim dispatch: workers inherit the shards via fork and
             # receive only their index over the pipe.
@@ -225,9 +220,7 @@ def run_sharded(
         for outcome in outcomes:
             if outcome is None:
                 continue
-            shard_records, shard_report, snapshot = decode_shard_result(
-                outcome.payload
-            )
+            shard_records, shard_report, snapshot = decode_shard_result(outcome)
             telemetry.absorb(snapshot)
             results.append((shard_records, shard_report))
         report.compute = health

@@ -65,24 +65,6 @@ def encode_records(records: list[tuple[int, CollectedTweet]]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def decode_records(data: bytes) -> list[tuple[int, CollectedTweet]]:
-    """Decode :func:`encode_records` output back into records.
-
-    Raises:
-        SerializationError: on malformed JSON or a malformed record.
-    """
-    records: list[tuple[int, CollectedTweet]] = []
-    for line in data.splitlines():
-        if not line:
-            continue
-        try:
-            position, payload = json.loads(line)
-        except (json.JSONDecodeError, ValueError) as exc:
-            raise SerializationError(f"malformed record line: {exc}") from exc
-        records.append((int(position), CollectedTweet.from_dict(payload)))
-    return records
-
-
 def encode_shard_result(
     records: list[tuple[int, CollectedTweet]],
     report: PipelineReport,

@@ -1,18 +1,16 @@
 """Shared process-pool plumbing for the parallel execution layer.
 
-Used by the supervised pool (:mod:`repro.supervise`) behind the sharded
-collection pipeline (:mod:`repro.pipeline.parallel`), parallel K-Means
-restarts (:mod:`repro.cluster.kmeans`), and the parallel k-sweep
-(:mod:`repro.core.user_clusters`).  Centralizing the start-method choice
-keeps every fan-out site consistent: ``fork`` where available (Linux) —
-a worker inherits the parent's imports, so there is no per-process
-re-import cost — falling back to the platform default elsewhere.
+Used by the supervised pool (:mod:`repro.supervise`) behind the one
+fan-out site, the sharded collection pipeline
+(:mod:`repro.pipeline.parallel`).  The start method is ``fork`` where
+available (Linux) — a worker inherits the parent's imports, so there is
+no per-process re-import cost — falling back to the platform default
+elsewhere.
 
-:func:`reaped` is the unified teardown every fan-out site runs under: a
-parent that dies mid-fan-out (a raised quarantine, a test failure, a
-``KeyboardInterrupt``) must never strand live child processes, so every
-child is registered at spawn time and terminated + joined on *every*
-exit path.
+:func:`reaped` is the teardown the supervisor runs under: a parent that
+dies mid-fan-out (a test failure, a ``KeyboardInterrupt``) must never
+strand live child processes, so every child is registered at spawn time
+and terminated + joined on *every* exit path.
 """
 
 from __future__ import annotations
@@ -21,9 +19,6 @@ import multiprocessing
 import multiprocessing.process
 from collections.abc import Iterator
 from contextlib import contextmanager
-from typing import TypeVar
-
-T = TypeVar("T")
 
 
 def pick_start_method() -> str:
@@ -60,21 +55,3 @@ def reaped() -> Iterator[list[multiprocessing.process.BaseProcess]]:
                 proc.kill()
                 proc.join(timeout=5.0)
 
-
-def split_chunks(items: list[T], parts: int) -> list[list[T]]:
-    """Split items into at most ``parts`` contiguous non-empty chunks.
-
-    Sizes differ by at most one, largest first — the standard balanced
-    partition for fanning a fixed work list across workers.
-    """
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    parts = min(parts, len(items))
-    size, extra = divmod(len(items), parts)
-    chunks: list[list[T]] = []
-    start = 0
-    for part in range(parts):
-        end = start + size + (1 if part < extra else 0)
-        chunks.append(items[start:end])
-        start = end
-    return chunks

@@ -1,9 +1,9 @@
 """Supervised process pool: worker death is a scheduled event, not an error.
 
 The plain executor behind the first parallel layer had no fault story:
-one worker segfault aborted the whole sharded collect, K-Means restart
-fan-out, or k-sweep, and a hung worker stalled it forever.  This module
-replaces it with a MapReduce-style supervisor:
+one worker segfault aborted the whole sharded collect, and a hung worker
+stalled it forever.  This module replaces it with a MapReduce-style
+supervisor:
 
 * **One process per task attempt.**  Each task runs in its own child
   with a private result pipe, so a dying worker can corrupt nothing
@@ -24,9 +24,13 @@ replaces it with a MapReduce-style supervisor:
   failure reason) and the run completes *degraded* — explicitly, via
   :class:`RunHealth` — never hanging and never silently dropping work.
 
-Results come back position-ordered (``results[i]`` belongs to
-``tasks[i]``; ``None`` marks a quarantined task), so every caller's
-ordered merge is preserved regardless of completion order.
+Tasks return ``bytes`` — the caller owns the wire format (the sharded
+collect ships :mod:`repro.pipeline.wire` frames), so no result is
+pickled.  A task that returns anything else is a task error, retried and
+dead-lettered like any other.  Results come back position-ordered
+(``results[i]`` belongs to ``tasks[i]``; ``None`` marks a quarantined
+task), so the caller's ordered merge is preserved regardless of
+completion order.
 
 Clock reads are confined to liveness detection (deadlines and poll
 pacing) and go through the observability clock seam
@@ -41,7 +45,6 @@ run cannot change it.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 import traceback
 from collections import deque
@@ -58,32 +61,13 @@ from repro.obs.clock import MONOTONIC
 from repro.procpool import pool_context, reaped
 
 T = TypeVar("T")
-R = TypeVar("R")
 
 #: Result-pipe frame tags.  Every worker report is one ``send_bytes``
-#: frame whose first byte says how to read the rest: ``O`` — a pickled
-#: ordinary object; ``B`` — raw bytes from a task that returned
-#: :class:`RawResult` (zero pickle involvement); ``E`` — a UTF-8 task
-#: traceback.  An unknown tag is treated as a corrupt report, i.e. a
-#: crashed attempt.
-_TAG_OBJECT = b"O"
+#: frame whose first byte says how to read the rest: ``B`` — the task's
+#: result bytes; ``E`` — a UTF-8 task traceback.  An unknown tag is
+#: treated as a corrupt report, i.e. a crashed attempt.
 _TAG_BYTES = b"B"
 _TAG_ERROR = b"E"
-
-
-@dataclass(frozen=True, slots=True)
-class RawResult:
-    """A task result that is already wire-encoded bytes.
-
-    A task function that returns ``RawResult`` opts its payload out of
-    pickling on the result pipe: the worker ships it as one tagged raw
-    byte frame and the caller receives the same ``RawResult`` back,
-    decoding it however its own wire format dictates.  The sharded
-    pipeline uses this to return JSON-line frames
-    (:mod:`repro.pipeline.wire`) instead of pickled record graphs.
-    """
-
-    payload: bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,23 +281,9 @@ class RunHealth:
         ]
         return health
 
-    def merge(self, other: "RunHealth") -> "RunHealth":
-        """Combine two health reports (counters sum, dead letters chain)."""
-        merged = RunHealth()
-        for spec in fields(RunHealth):
-            if spec.name == "dead_letters":
-                continue
-            setattr(
-                merged,
-                spec.name,
-                getattr(self, spec.name) + getattr(other, spec.name),
-            )
-        merged.dead_letters = list(self.dead_letters) + list(other.dead_letters)
-        return merged
-
 
 def _worker_main(
-    func: Callable[[Any], Any],
+    func: Callable[[Any], bytes],
     task: Any,
     task_index: int,
     attempt: int,
@@ -351,16 +321,15 @@ def _worker_main(
                 f"attempt {attempt})"
             )
         result = func(task)
+        if not isinstance(result, bytes):
+            raise TypeError(
+                "supervised task must return bytes, got "
+                f"{type(result).__name__}"
+            )
     except Exception:  # reprolint: disable=RPL004 — traceback is forwarded to the supervisor, which retries or dead-letters it; nothing is swallowed
         conn.send_bytes(_TAG_ERROR + traceback.format_exc().encode("utf-8"))
     else:
-        if isinstance(result, RawResult):
-            conn.send_bytes(_TAG_BYTES + result.payload)
-        else:
-            conn.send_bytes(
-                _TAG_OBJECT
-                + pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-            )
+        conn.send_bytes(_TAG_BYTES + result)
     finally:
         conn.close()
 
@@ -377,18 +346,19 @@ class _Attempt:
 
 
 def run_supervised(
-    func: Callable[[T], R],
+    func: Callable[[T], bytes],
     tasks: Sequence[T],
     *,
     workers: int = 1,
     policy: SupervisorPolicy | None = None,
     fault_plan: WorkerFaultPlan | None = None,
     labels: Sequence[str] | None = None,
-) -> tuple[list[R | None], RunHealth]:
+) -> tuple[list[bytes | None], RunHealth]:
     """Run ``func`` over ``tasks`` in supervised worker processes.
 
     Args:
-        func: pure task function; must be picklable on spawn platforms.
+        func: pure task function returning ``bytes``; must be picklable
+            on spawn platforms.  Any other return value is a task error.
         tasks: task payloads; ``results[i]`` corresponds to ``tasks[i]``.
         workers: maximum concurrent worker processes.
         policy: retry/deadline/pacing policy (defaults apply).
@@ -420,7 +390,7 @@ def run_supervised(
         else [f"task {index}" for index in range(len(task_list))]
     )
     health = RunHealth(tasks=len(task_list))
-    results: list[R | None] = [None] * len(task_list)
+    results: list[bytes | None] = [None] * len(task_list)
     pending: deque[tuple[int, int]] = deque(
         (index, 0) for index in range(len(task_list))
     )
@@ -515,10 +485,8 @@ def run_supervised(
                         kind, payload = "crash", None
                     else:
                         tag, body = frame[:1], frame[1:]
-                        if tag == _TAG_OBJECT:
-                            kind, payload = "ok", pickle.loads(body)
-                        elif tag == _TAG_BYTES:
-                            kind, payload = "ok", RawResult(body)
+                        if tag == _TAG_BYTES:
+                            kind, payload = "ok", body
                         elif tag == _TAG_ERROR:
                             kind, payload = "error", body.decode("utf-8")
                         else:  # pragma: no cover - corrupt frame

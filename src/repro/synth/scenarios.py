@@ -9,6 +9,7 @@ scales of the *same* distribution.
 
 from __future__ import annotations
 
+from repro.errors import ConfigError
 from repro.organs import Organ
 from repro.synth.config import (
     ActivityConfig,
@@ -77,9 +78,12 @@ def paper2016_scenario(scale: float = 0.01, seed: int = 0) -> SynthConfig:
     Args:
         scale: dataset size relative to the paper (1.0 ≈ Table I volumes).
         seed: world RNG seed.
+
+    Raises:
+        ConfigError: if ``scale`` is not positive.
     """
     if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+        raise ConfigError(f"scale must be > 0, got {scale}")
     n_users = max(50, int(round(_FULL_SCALE_USERS * scale)))
     return SynthConfig(
         population=PopulationConfig(

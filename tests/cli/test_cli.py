@@ -21,6 +21,33 @@ def corpus_file(firehose, tmp_path_factory):
     return path
 
 
+class TestBadNumericOptions:
+    @pytest.mark.parametrize("argv", [
+        ["monitor", "{firehose}", "--window-days", "0"],
+        ["monitor", "{firehose}", "--window-days", "-3"],
+        ["monitor", "{firehose}", "--min-users", "0"],
+        ["collect", "{firehose}", "{tmp}/out.jsonl", "--min-confidence", "2"],
+        ["analyze", "{corpus}", "--k", "0"],
+        ["analyze", "{corpus}", "--alpha", "0"],
+        ["generate", "{tmp}/out.jsonl", "--scale", "0"],
+        ["calibrate", "--scale", "0"],
+        ["replicate", "--scale", "0"],
+        ["reproduce", "--scale", "0"],
+    ])
+    def test_exits_2_with_error_line_and_no_traceback(
+        self, argv, firehose, corpus_file, tmp_path, capsys
+    ):
+        paths = {"firehose": firehose, "corpus": corpus_file, "tmp": tmp_path}
+        code = main([part.format(**paths) for part in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert any(
+            line.startswith("error: ") for line in captured.out.splitlines()
+        )
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "out.jsonl").exists()
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -139,6 +166,22 @@ class TestRun:
         code = main(["run", str(tmp_path / "missing"), "--resume"])
         assert code == 1
         assert "no journal" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option", [
+        ["--alpha", "1.5"],
+        ["--k", "3"],
+        ["--workers", "0"],
+        ["--scale", "0"],
+    ])
+    def test_bad_parameter_rejected_before_any_stage(
+        self, tmp_path, capsys, option
+    ):
+        run_dir = tmp_path / "run"
+        code = main(["run", str(run_dir), "--scale", "0.01", *option])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("error: ")
+        assert not (run_dir / "journal.json").exists()
+        assert not run_dir.exists()
 
 
 class TestAnalyze:

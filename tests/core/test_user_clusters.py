@@ -6,7 +6,7 @@ import pytest
 from repro.config import UserClusteringConfig
 from repro.core.attention import build_attention_matrix
 from repro.core.user_clusters import cluster_users, sweep_k
-from repro.errors import ClusteringError
+from repro.errors import ClusteringError, ConfigError
 from repro.organs import N_ORGANS
 
 
@@ -61,9 +61,9 @@ class TestClusterUsers:
         }
         assert dominant == set(range(N_ORGANS))
 
-    def test_k_below_organ_count_rejected(self, attention):
-        with pytest.raises(ClusteringError):
-            cluster_users(attention, UserClusteringConfig(k=5))
+    def test_k_below_organ_count_rejected(self):
+        with pytest.raises(ConfigError, match="one cluster per organ"):
+            UserClusteringConfig(k=N_ORGANS - 1)
 
     def test_bad_cluster_index_rejected(self, clustering):
         with pytest.raises(ClusteringError):
@@ -93,14 +93,3 @@ class TestSweepK:
     def test_best_k_by_silhouette(self, attention):
         sweep = sweep_k(attention, ks=(6, 12))
         assert sweep.best_k_by_silhouette() in (6, 12)
-
-    def test_parallel_sweep_matches_serial(self, attention):
-        ks = (6, 8, 10)
-        config = UserClusteringConfig(n_init=2, seed=4)
-        serial = sweep_k(attention, ks=ks, config=config, workers=1)
-        parallel = sweep_k(attention, ks=ks, config=config, workers=2)
-        assert serial == parallel
-
-    def test_invalid_workers_rejected(self, attention):
-        with pytest.raises(ClusteringError):
-            sweep_k(attention, ks=(6,), workers=0)

@@ -13,7 +13,6 @@ from repro.faults.compute import (
 from repro.procpool import pool_context, reaped
 from repro.supervise import (
     ComputeDeadLetter,
-    RawResult,
     RunHealth,
     SupervisorPolicy,
     ensure_supervisable,
@@ -21,12 +20,16 @@ from repro.supervise import (
 )
 
 
-def square(x: int) -> int:
-    return x * x
+def square(x: int) -> bytes:
+    return str(x * x).encode()
 
 
-def boom(x: int) -> int:
+def boom(x: int) -> bytes:
     raise ValueError(f"bad task {x}")
+
+
+def not_bytes(x: int) -> int:
+    return x * x
 
 
 class TestPolicyValidation:
@@ -99,7 +102,7 @@ class TestEnsureSupervisable:
 class TestCleanRuns:
     def test_results_are_position_ordered(self):
         results, health = run_supervised(square, [3, 1, 4, 1, 5], workers=2)
-        assert results == [9, 1, 16, 1, 25]
+        assert results == [b"9", b"1", b"16", b"1", b"25"]
         assert health.completed == 5
         assert not health.degraded
         assert health.failed_attempts == 0
@@ -114,38 +117,6 @@ class TestCleanRuns:
         assert multiprocessing.active_children() == []
 
 
-def raw_frame(x: int) -> RawResult:
-    return RawResult(b"frame:" + str(x).encode())
-
-
-def raw_or_object(x: int) -> RawResult | int:
-    if x % 2 == 0:
-        return raw_frame(x)
-    return x
-
-
-class TestRawResults:
-    def test_raw_payloads_skip_pickling_and_round_trip(self):
-        results, health = run_supervised(raw_frame, [1, 2, 3], workers=2)
-        assert results == [
-            RawResult(b"frame:1"), RawResult(b"frame:2"), RawResult(b"frame:3"),
-        ]
-        assert health.completed == 3
-
-    def test_raw_and_object_results_can_mix(self):
-        results, __ = run_supervised(raw_or_object, [0, 1, 2, 3], workers=2)
-        assert results == [RawResult(b"frame:0"), 1, RawResult(b"frame:2"), 3]
-
-    def test_raw_result_survives_retries(self):
-        plan = WorkerFaultPlan(seed=1, crash_rate=1.0, max_faulted_attempts=1)
-        results, health = run_supervised(
-            raw_frame, [7], workers=1,
-            policy=SupervisorPolicy(max_retries=1), fault_plan=plan,
-        )
-        assert results == [RawResult(b"frame:7")]
-        assert health.retries == 1
-
-
 class TestFaultRecovery:
     def test_crashes_are_retried(self):
         plan = WorkerFaultPlan(seed=1, crash_rate=1.0, max_faulted_attempts=1)
@@ -153,7 +124,7 @@ class TestFaultRecovery:
             square, [2, 3], workers=2,
             policy=SupervisorPolicy(max_retries=1), fault_plan=plan,
         )
-        assert results == [4, 9]
+        assert results == [b"4", b"9"]
         assert health.worker_crashes == 2
         assert health.retries == 2
         assert not health.degraded
@@ -166,7 +137,7 @@ class TestFaultRecovery:
             square, [2], workers=1,
             policy=SupervisorPolicy(max_retries=1), fault_plan=plan,
         )
-        assert results == [4]
+        assert results == [b"4"]
         assert health.task_errors == 1
 
     def test_hung_worker_is_killed_at_the_deadline(self):
@@ -178,7 +149,7 @@ class TestFaultRecovery:
             policy=SupervisorPolicy(max_retries=1, task_timeout=0.3),
             fault_plan=plan,
         )
-        assert results == [36]
+        assert results == [b"36"]
         assert health.worker_timeouts == 1
 
     def test_slow_task_is_not_mistaken_for_death(self):
@@ -189,7 +160,7 @@ class TestFaultRecovery:
             square, [7], workers=1,
             policy=SupervisorPolicy(task_timeout=5.0), fault_plan=plan,
         )
-        assert results == [7 * 7]
+        assert results == [b"49"]
         assert health.failed_attempts == 0
 
     def test_real_task_bug_exhausts_retries_and_quarantines(self):
@@ -202,6 +173,18 @@ class TestFaultRecovery:
         assert letter.attempts == 2
         assert "bad task 1" in letter.failures[-1]
 
+    def test_non_bytes_result_is_a_task_error(self):
+        results, health = run_supervised(
+            not_bytes, [3], workers=1, policy=SupervisorPolicy(max_retries=1),
+        )
+        assert results == [None]
+        assert health.task_errors == 2
+        assert health.retries == 1
+        assert health.quarantined == 1
+        letter = health.dead_letters[0]
+        assert all("Traceback" in failure for failure in letter.failures)
+        assert "must return bytes, got int" in letter.failures[-1]
+
 
 class TestQuarantine:
     def test_poison_task_is_dead_lettered_with_label(self):
@@ -211,7 +194,7 @@ class TestQuarantine:
             policy=SupervisorPolicy(max_retries=1), fault_plan=plan,
             labels=[f"shard {i}" for i in range(4)],
         )
-        assert results == [1, 4, None, 16]
+        assert results == [b"1", b"4", None, b"16"]
         assert health.quarantined == 1
         assert health.dead_letters[0].label == "shard 2"
         assert health.dead_letters[0].attempts == 2
@@ -248,12 +231,6 @@ class TestRunHealth:
     def test_summary_lines_name_the_quarantined_task(self):
         lines = self.make_health().summary_lines()
         assert any("shard 2" in line for line in lines)
-
-    def test_merge_sums_counters_and_chains_dead_letters(self):
-        merged = self.make_health().merge(self.make_health())
-        assert merged.tasks == 8
-        assert merged.quarantined == 2
-        assert len(merged.dead_letters) == 2
 
     def test_satisfies_health_protocol(self):
         from repro.health import HealthReport
@@ -324,7 +301,7 @@ class TestReaped:
         assert multiprocessing.active_children() == []
 
     def test_failed_supervised_run_leaves_no_children(self):
-        """A raised quarantine (KMeans-style) must not strand workers."""
+        """A caller that raises on quarantine must not strand workers."""
         from repro.errors import ClusteringError
 
         def run_and_raise():

@@ -14,7 +14,6 @@ from repro.dataset.records import CollectedTweet
 from repro.pipeline.runner import PipelineReport
 from repro.pipeline.wire import (
     WIRE_VERSION,
-    decode_records,
     decode_shard_result,
     encode_records,
     encode_shard_result,
@@ -56,20 +55,36 @@ def make_report() -> PipelineReport:
     )
 
 
+def frame_with_record_lines(lines: bytes, count: int) -> bytes:
+    """A valid untraced frame header followed by raw record lines."""
+    frame = encode_shard_result([], PipelineReport(), None)
+    header = frame[: frame.index(b"\n")].replace(
+        b'"records":0', f'"records":{count}'.encode(), 1
+    )
+    return header + b"\n" + lines
+
+
 class TestRecordLines:
     def test_round_trip(self):
         records = make_records()
-        assert decode_records(encode_records(records)) == records
+        lines = encode_records(records)
+        assert len(lines.splitlines()) == len(records)
+        out_records, __, __ = decode_shard_result(
+            frame_with_record_lines(lines, len(records))
+        )
+        assert out_records == records
 
     def test_empty(self):
         assert encode_records([]) == b""
-        assert decode_records(b"") == []
+        assert decode_shard_result(frame_with_record_lines(b"", 0))[0] == []
 
     def test_malformed_line_raises(self):
-        with pytest.raises(SerializationError):
-            decode_records(b'[0, {"not a record": true}]\n')
-        with pytest.raises(SerializationError):
-            decode_records(b"{truncated\n")
+        with pytest.raises(SerializationError, match="malformed collected"):
+            decode_shard_result(
+                frame_with_record_lines(b'[0, {"not a record": true}]\n', 1)
+            )
+        with pytest.raises(SerializationError, match="malformed record line"):
+            decode_shard_result(frame_with_record_lines(b"{truncated\n", 1))
 
 
 class TestShardFrame:
