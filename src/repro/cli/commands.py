@@ -33,7 +33,7 @@ from repro.dataset.io import (
     write_jsonl,
     write_tweets_jsonl,
 )
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.organs import Organ
 from repro.pipeline.runner import CollectionPipeline
 from repro.report.experiments import ExperimentSuite
@@ -57,6 +57,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_collect(args: argparse.Namespace) -> int:
     """Run the §III-A pipeline over a firehose file."""
+    workers = getattr(args, "workers", 1)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     config = CollectionConfig(
         prefer_geotag=not args.no_geotag,
         min_confidence=args.min_confidence,
@@ -69,13 +72,10 @@ def cmd_collect(args: argparse.Namespace) -> int:
         fault_plan = FaultPlan.chaos(seed=args.chaos_seed)
         print(f"chaos mode: {fault_plan.describe()}")
     worker_faults = None
-    supervisor = None
     if getattr(args, "worker_chaos", False):
         from repro.faults.compute import WorkerFaultPlan
-        from repro.supervise import SupervisorPolicy
 
         worker_faults = WorkerFaultPlan.chaos(seed=args.worker_chaos_seed)
-        supervisor = SupervisorPolicy()
         print(f"worker chaos mode: {worker_faults.describe()}")
     fs = None
     if getattr(args, "disk_chaos", False):
@@ -84,7 +84,6 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
         fs = FaultyFS(StorageFaultPlan.chaos(seed=args.disk_chaos_seed))
         print(f"disk chaos mode: {fs.plan.describe()}")
-    workers = getattr(args, "workers", 1)
     if workers > 1:
         print(f"sharding across {workers} worker processes")
     from repro.obs import NULL_TELEMETRY, Telemetry, activate
@@ -97,7 +96,6 @@ def cmd_collect(args: argparse.Namespace) -> int:
                 read_tweets_jsonl(args.firehose),
                 fault_plan=fault_plan,
                 workers=workers,
-                supervisor=supervisor,
                 worker_faults=worker_faults,
             )
             count = write_jsonl(corpus.records, args.output, fs=fs)
@@ -376,9 +374,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         window=timedelta(days=args.window_days),
         relative_risk=RelativeRiskConfig(min_users=args.min_users),
     )
+    snapshots = sensor.run(
+        read_tweets_jsonl(args.firehose), emit_every=args.emit_every
+    )
     try:
-        stream = read_tweets_jsonl(args.firehose)
-        for snapshot in sensor.run(stream, emit_every=args.emit_every):
+        for snapshot in snapshots:
             spiking = ", ".join(
                 f"{state}:{'+'.join(o.value for o in snapshot.highlights[state])}"
                 for state in snapshot.emerging_states()

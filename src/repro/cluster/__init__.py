@@ -5,7 +5,8 @@ so these are from-scratch NumPy implementations with the same semantics
 the paper relies on: K-Means with k-means++ initialization and inertia,
 agglomerative clustering over a precomputed affinity (Bhattacharyya
 distance, the paper's choice for discrete distributions), and the
-silhouette coefficient used for the k = 12 model selection.
+silhouette coefficient.  The k = 12 model selection itself is the k
+sweep in :func:`repro.core.user_clusters.sweep_k`.
 """
 
 from repro.cluster.agglomerative import AgglomerativeClustering, Dendrogram, MergeStep

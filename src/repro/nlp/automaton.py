@@ -131,22 +131,6 @@ class AhoCorasick:
             return ()
         return tuple(sorted(found))
 
-    def contains_any(self, text: str) -> bool:
-        """True when at least one compiled term occurs in ``text``."""
-        if not self._terms:
-            return False
-        goto = self._goto
-        fail = self._fail
-        out = self._out
-        state = 0
-        for char in text:
-            while state and char not in goto[state]:
-                state = fail[state]
-            state = goto[state].get(char, 0)
-            if out[state]:
-                return True
-        return False
-
 
 class TermVocabulary:
     """Single-pass ``present_terms`` engine for one fixed vocabulary.

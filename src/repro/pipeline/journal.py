@@ -60,7 +60,6 @@ from repro.pipeline.runner import CollectionPipeline, PipelineReport
 from repro.storage.atomic import atomic_write_text
 from repro.storage.fs import LOCAL_FS, FileSystem
 from repro.storage.manifest import write_text_with_manifest
-from repro.supervise import SupervisorPolicy
 
 
 @dataclass(frozen=True, slots=True)
@@ -401,14 +400,10 @@ class _StageRunner:
             if self.params.worker_chaos
             else None
         )
-        supervisor = (
-            SupervisorPolicy() if worker_faults is not None else None
-        )
         corpus, report = pipeline.run(
             read_tweets_jsonl(self.run_dir / "firehose.jsonl"),
             fault_plan=fault_plan,
             workers=self.params.workers,
-            supervisor=supervisor,
             worker_faults=worker_faults,
         )
         write_jsonl(corpus.records, self.run_dir / "corpus.jsonl", fs=self.fs)

@@ -17,8 +17,8 @@ the results so that the outcome is *indistinguishable* from a serial run:
 * **Counter merge** — per-shard :class:`PipelineReport` objects are
   combined with :meth:`PipelineReport.merge`; every counter is a sum over
   disjoint shards, so totals equal the serial run exactly.
-* **Slim IPC** — under the ``fork`` start method workers inherit the
-  shard lists by copy-on-write and are dispatched a bare shard *index*;
+* **Slim IPC** — workers are forked, so they inherit the shard lists by
+  copy-on-write and are dispatched a bare shard *index*;
   results come back as raw JSON-line frames
   (:mod:`repro.pipeline.wire`), the bytes every supervised task returns,
   so no tweet object graph is pickled in either direction.
@@ -45,7 +45,6 @@ from repro.faults.compute import WorkerFaultPlan
 from repro.pipeline.batch import build_stages, process_stream
 from repro.pipeline.runner import PipelineReport
 from repro.pipeline.wire import decode_shard_result, encode_shard_result
-from repro.procpool import pick_start_method
 from repro.supervise import SupervisorPolicy, run_supervised
 from repro.twitter.models import Tweet
 
@@ -115,16 +114,16 @@ def _run_shard(
     return records, report, telemetry.snapshot()
 
 
-#: Parent-side stash the fork-inherited workers read their shards from;
-#: set only while one ``run_sharded`` fan-out is dispatching.  Under the
-#: ``fork`` start method every child inherits this by copy-on-write, so
-#: the dispatch payload shrinks to a bare shard index and no tweet is
-#: ever pickled toward a worker.
+#: Parent-side stash the forked workers read their shards from; set only
+#: while one ``run_sharded`` fan-out is dispatching.  Every worker is
+#: forked, so each child inherits this by copy-on-write, the dispatch
+#: payload shrinks to a bare shard index and no tweet is ever pickled
+#: toward a worker.
 _FORK_STATE: tuple[list[Shard], CollectionConfig, bool] | None = None
 
 
 def _shard_task_fork(index: int) -> bytes:
-    """Fork-mode worker entry point: look the shard up, return a frame.
+    """Worker entry point: look the shard up, return a frame.
 
     The result is wire-encoded in the worker
     (:func:`repro.pipeline.wire.encode_shard_result`), so the record
@@ -139,14 +138,6 @@ def _shard_task_fork(index: int) -> bytes:
     )
 
 
-def _shard_task(
-    payload: tuple[int, Shard, CollectionConfig, bool],
-) -> bytes:
-    """Spawn-compatible worker entry point carrying the shard itself."""
-    index, shard, config, trace_enabled = payload
-    return encode_shard_result(*_run_shard(index, shard, config, trace_enabled))
-
-
 def run_sharded(
     source: Iterable[Tweet],
     config: CollectionConfig,
@@ -159,10 +150,8 @@ def run_sharded(
 
     Returns records in original stream order and the merged report; both
     are identical to what the serial loop produces, for any worker count
-    and any recoverable fault schedule.  ``workers=1`` with no policy and
-    no fault plan processes the single shard in-process (no pool), which
-    keeps the sharded path testable without multiprocessing overhead;
-    otherwise shards run under :func:`repro.supervise.run_supervised` and
+    and any recoverable fault schedule.  Shards always run under
+    :func:`repro.supervise.run_supervised`, even at ``workers=1``, and
     ``report.compute`` records what the pool survived.
 
     A shard quarantined after exhausting its retries (a poison shard) is
@@ -174,58 +163,31 @@ def run_sharded(
         ConfigError: if ``workers`` is not a positive integer or the
             fault plan is not absorbable by the policy.
     """
+    global _FORK_STATE
     telemetry = obs.current()
     shards = shard_by_id(source, workers)
-    report = PipelineReport()
-    results: list[tuple[list[tuple[int, CollectedTweet]], PipelineReport]]
-    if workers == 1 and policy is None and worker_faults is None:
-        with telemetry.span("shard", index=0, tweets=len(shards[0])):
-            results = [process_shard(shards[0], config)]
-    else:
-        global _FORK_STATE
-        labels = [f"shard {index}" for index in range(len(shards))]
-        fork = pick_start_method() == "fork"
-        outcomes: list[bytes | None]
-        if fork:
-            # Slim dispatch: workers inherit the shards via fork and
-            # receive only their index over the pipe.
-            _FORK_STATE = (shards, config, telemetry.enabled)
-            try:
-                outcomes, health = run_supervised(
-                    _shard_task_fork,
-                    list(range(len(shards))),
-                    workers=workers,
-                    policy=policy,
-                    fault_plan=worker_faults,
-                    labels=labels,
-                )
-            finally:
-                _FORK_STATE = None
-        else:  # pragma: no cover - non-fork platforms only
-            outcomes, health = run_supervised(
-                _shard_task,
-                [
-                    (index, shard, config, telemetry.enabled)
-                    for index, shard in enumerate(shards)
-                ],
-                workers=workers,
-                policy=policy,
-                fault_plan=worker_faults,
-                labels=labels,
-            )
-        # Absorb worker buffers in shard-index order (outcomes align
-        # with payloads), so the merged telemetry is deterministic no
-        # matter how the scheduler interleaved the workers.
-        results = []
-        for outcome in outcomes:
-            if outcome is None:
-                continue
-            shard_records, shard_report, snapshot = decode_shard_result(outcome)
-            telemetry.absorb(snapshot)
-            results.append((shard_records, shard_report))
-        report.compute = health
+    _FORK_STATE = (shards, config, telemetry.enabled)
+    try:
+        outcomes, health = run_supervised(
+            _shard_task_fork,
+            list(range(len(shards))),
+            workers=workers,
+            policy=policy,
+            fault_plan=worker_faults,
+            labels=[f"shard {index}" for index in range(len(shards))],
+        )
+    finally:
+        _FORK_STATE = None
+    report = PipelineReport(compute=health)
     tagged: list[tuple[int, CollectedTweet]] = []
-    for shard_records, shard_report in results:
+    # Absorb worker buffers in shard-index order (outcomes align with
+    # shard indexes), so the merged telemetry is deterministic no matter
+    # how the scheduler interleaved the workers.
+    for outcome in outcomes:
+        if outcome is None:
+            continue
+        shard_records, shard_report, snapshot = decode_shard_result(outcome)
+        telemetry.absorb(snapshot)
         report = report.merge(shard_report)
         tagged.extend(shard_records)
     tagged.sort(key=lambda item: item[0])

@@ -23,8 +23,8 @@ Frame layout (``encode_shard_result``)::
     [position, {collected tweet dict}]\\n     × N
     <M bytes of pickled TelemetrySnapshot>    (M == 0 when untraced)
 
-Input direction: under the ``fork`` start method workers inherit the
-parent's shard lists for free (copy-on-write), so the dispatch payload
+Input direction: workers are always forked, so they inherit the
+parent's shard lists for free (copy-on-write) and the dispatch payload
 shrinks to a bare shard *index* (see
 :func:`repro.pipeline.parallel.run_sharded`) and nothing tweet-shaped is
 ever pickled in either direction.

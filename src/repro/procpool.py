@@ -2,10 +2,12 @@
 
 Used by the supervised pool (:mod:`repro.supervise`) behind the one
 fan-out site, the sharded collection pipeline
-(:mod:`repro.pipeline.parallel`).  The start method is ``fork`` where
-available (Linux) — a worker inherits the parent's imports, so there is
-no per-process re-import cost — falling back to the platform default
-elsewhere.
+(:mod:`repro.pipeline.parallel`).  The start method is always ``fork``:
+a worker inherits the parent's imports and the shard lists, so there is
+no per-process re-import cost and nothing tweet-shaped is pickled.
+Every platform the product can write on offers it, because
+:meth:`repro.storage.fs.LocalFS.fsync_dir` opens directories with
+``os.open``, which Windows refuses.
 
 :func:`reaped` is the teardown the supervisor runs under: a parent that
 dies mid-fan-out (a test failure, a ``KeyboardInterrupt``) must never
@@ -28,8 +30,8 @@ def pick_start_method() -> str:
 
 
 def pool_context() -> multiprocessing.context.BaseContext:
-    """The multiprocessing context every repro pool should use."""
-    return multiprocessing.get_context(pick_start_method())
+    """The ``fork`` context every repro pool uses."""
+    return multiprocessing.get_context("fork")
 
 
 @contextmanager

@@ -153,14 +153,23 @@ class RollingAwarenessSensor:
     def run(
         self, stream: Iterable[Tweet], emit_every: int = 1000
     ) -> Iterator[AwarenessSnapshot]:
-        """Drive the sensor over a stream, yielding periodic snapshots.
+        """Drive the sensor over a stream; an iterator of periodic snapshots.
 
         Args:
             stream: tweets in timestamp order.
             emit_every: emit a snapshot after this many *retained* tweets.
+
+        Raises:
+            ConfigError: if ``emit_every`` is below 1; raised by this
+                call, before any tweet is read.
         """
         if emit_every < 1:
             raise ConfigError(f"emit_every must be >= 1, got {emit_every}")
+        return self._snapshots(stream, emit_every)
+
+    def _snapshots(
+        self, stream: Iterable[Tweet], emit_every: int
+    ) -> Iterator[AwarenessSnapshot]:
         since_emit = 0
         for tweet in stream:
             if self.observe(tweet):

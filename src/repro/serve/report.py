@@ -16,7 +16,6 @@ every circuit-breaker transition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.health import rows_to_lines
 from repro.serve.breaker import BreakerTransition
@@ -88,45 +87,3 @@ class OverloadReport:
 
     def summary_lines(self) -> list[str]:
         return rows_to_lines(self.as_rows())
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "shed_queue_full": self.shed_queue_full,
-            "shed_rate_limited": self.shed_rate_limited,
-            "expired": self.expired,
-            "dead_lettered": self.dead_lettered,
-            "degraded": self.degraded,
-            "max_brownout_level": self.max_brownout_level,
-            "breaker_opens": self.breaker_opens,
-            "artifact_loads": self.artifact_loads,
-            "breaker_transitions": [
-                transition.to_dict() for transition in self.breaker_transitions
-            ],
-            "accounted": self.accounted,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "OverloadReport":
-        return cls(
-            submitted=int(data["submitted"]),
-            admitted=int(data["admitted"]),
-            completed=int(data["completed"]),
-            shed=int(data["shed"]),
-            shed_queue_full=int(data["shed_queue_full"]),
-            shed_rate_limited=int(data["shed_rate_limited"]),
-            expired=int(data["expired"]),
-            dead_lettered=int(data["dead_lettered"]),
-            degraded=int(data["degraded"]),
-            max_brownout_level=int(data["max_brownout_level"]),
-            breaker_opens=int(data["breaker_opens"]),
-            # Default for reports serialized before the artifact cache.
-            artifact_loads=int(data.get("artifact_loads", 0)),
-            breaker_transitions=[
-                BreakerTransition.from_dict(item)
-                for item in data.get("breaker_transitions", [])
-            ],
-        )

@@ -1,4 +1,4 @@
-"""Statistics substrate: ranking, correlation, proportions, descriptives."""
+"""Statistics substrate: ranking, correlation, proportions."""
 
 from repro.stats.correlation import CorrelationResult, pearson, spearman
 from repro.stats.proportions import (
@@ -7,16 +7,13 @@ from repro.stats.proportions import (
     relative_risk,
 )
 from repro.stats.ranking import rankdata
-from repro.stats.descriptive import log_binned_histogram, summarize
 
 __all__ = [
     "CorrelationResult",
     "RelativeRiskResult",
-    "log_binned_histogram",
     "pearson",
     "prevalence",
     "rankdata",
     "relative_risk",
     "spearman",
-    "summarize",
 ]

@@ -10,9 +10,10 @@ Four parts, composed bottom-up:
   dataset writers.
 * :mod:`repro.storage.manifest` — per-file SHA-256 + per-record CRC32
   integrity sidecars.
-* :mod:`repro.storage.scrub` — the offline verifier that detects
-  bitrot, quarantines corrupt records into a dead-letter, and repairs
-  from replicas.
+* :mod:`repro.storage.scrub` — the one verifier of those sidecars: it
+  detects bitrot, quarantines corrupt records into a dead-letter, and
+  repairs from replicas; ``scrub_file(path, quarantine=False)`` checks
+  a file without modifying anything.
 
 The matching fault taxonomy lives in :mod:`repro.faults.storage`.
 """
@@ -26,11 +27,9 @@ from repro.storage.fs import LOCAL_FS, FaultyFS, FileSystem, LocalFS
 from repro.storage.manifest import (
     MANIFEST_SUFFIX,
     Manifest,
-    VerifyResult,
     build_manifest,
     load_manifest,
     manifest_path,
-    verify_file,
     write_manifest,
     write_text_with_manifest,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "Manifest",
     "QuarantinedRecord",
     "ScrubReport",
-    "VerifyResult",
     "atomic_write_bytes",
     "atomic_write_text",
     "build_manifest",
@@ -65,7 +63,6 @@ __all__ = [
     "quarantine_path",
     "scrub_file",
     "scrub_paths",
-    "verify_file",
     "write_manifest",
     "write_text_with_manifest",
 ]

@@ -186,74 +186,6 @@ def load_manifest(
         raise StorageError(f"unreadable manifest {side}: {exc}") from exc
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyResult:
-    """Outcome of checking one data file against its sidecar.
-
-    Attributes:
-        path: the data file.
-        status: ``ok`` | ``missing-manifest`` | ``missing-file`` |
-            ``mismatch``.
-        corrupt_records: 1-based line numbers whose CRC disagrees with
-            the manifest (within the overlapping prefix).
-        manifest_records: record count the sidecar promises (None when
-            the file is not record-oriented).
-        actual_records: record count found on disk.
-    """
-
-    path: str
-    status: str
-    corrupt_records: tuple[int, ...] = ()
-    manifest_records: int | None = None
-    actual_records: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
-def verify_file(
-    path: str | Path, *, fs: FileSystem | None = None
-) -> VerifyResult:
-    """Check a data file against its manifest without modifying anything."""
-    fs = fs if fs is not None else LOCAL_FS
-    manifest = load_manifest(path, fs=fs)
-    if manifest is None:
-        return VerifyResult(path=str(path), status="missing-manifest")
-    if not fs.exists(path):
-        return VerifyResult(
-            path=str(path),
-            status="missing-file",
-            manifest_records=manifest.records,
-        )
-    actual = build_manifest(
-        path, fs=fs, records=manifest.record_crcs is not None
-    )
-    if actual.sha256 == manifest.sha256:
-        return VerifyResult(
-            path=str(path),
-            status="ok",
-            manifest_records=manifest.records,
-            actual_records=actual.records,
-        )
-    corrupt: tuple[int, ...] = ()
-    if manifest.record_crcs is not None and actual.record_crcs is not None:
-        corrupt = tuple(
-            line
-            for line, (expected, found) in enumerate(
-                zip(manifest.record_crcs, actual.record_crcs), start=1
-            )
-            if expected != found
-        )
-    return VerifyResult(
-        path=str(path),
-        status="mismatch",
-        corrupt_records=corrupt,
-        manifest_records=manifest.records,
-        actual_records=actual.records,
-    )
-
-
 def write_text_with_manifest(
     path: str | Path, text: str, *, fs: FileSystem | None = None
 ) -> int:

@@ -357,8 +357,9 @@ def run_supervised(
     """Run ``func`` over ``tasks`` in supervised worker processes.
 
     Args:
-        func: pure task function returning ``bytes``; must be picklable
-            on spawn platforms.  Any other return value is a task error.
+        func: pure task function returning ``bytes``; workers are
+            forked, so it is inherited, not pickled.  Any other return
+            value is a task error.
         tasks: task payloads; ``results[i]`` corresponds to ``tasks[i]``.
         workers: maximum concurrent worker processes.
         policy: retry/deadline/pacing policy (defaults apply).

@@ -34,18 +34,14 @@ import heapq
 import json
 import random
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Any
 
 from repro.config import ResiliencePolicy
 from repro.errors import ConfigError, SerializationError
 from repro.health import rows_to_lines
 from repro.obs import current as telemetry_current
-from repro.storage.atomic import AtomicWriter
-from repro.storage.fs import FileSystem
-from repro.storage.manifest import Manifest, record_crc, write_manifest
 from repro.twitter.errors import (
     HTTPStreamError,
     RateLimitError,
@@ -142,71 +138,6 @@ class DeadLetter:
             reason=str(data["reason"]),
             sequence=int(data["sequence"]),
         )
-
-
-def write_dead_letters_jsonl(
-    letters: Iterable[DeadLetter],
-    path: str | Path,
-    *,
-    fs: FileSystem | None = None,
-    manifest: bool = True,
-) -> int:
-    """Persist a dead-letter queue as JSONL; returns the count written.
-
-    Dead letters are evidence — the frames a run refused to lose — so
-    they get the same durability treatment as the corpus itself: one
-    atomic-durable write plus a :mod:`repro.storage.manifest` integrity
-    sidecar, making the queue scrubbable for bitrot like every other
-    persisted artifact.
-    """
-    count = 0
-    crcs: list[int] = []
-    with AtomicWriter(path, fs=fs) as writer:
-        for letter in letters:
-            line = json.dumps(letter.to_dict(), ensure_ascii=False)
-            writer.write(line)
-            writer.write("\n")
-            if manifest:
-                crcs.append(record_crc(line))
-            count += 1
-    if manifest:
-        write_manifest(
-            path,
-            Manifest(
-                file=Path(path).name,
-                sha256=writer.sha256_hex,
-                size_bytes=writer.bytes_written,
-                record_crcs=tuple(crcs),
-            ),
-            fs=fs,
-        )
-    return count
-
-
-def read_dead_letters_jsonl(path: str | Path) -> Iterator[DeadLetter]:
-    """Stream dead letters back from a JSONL file.
-
-    Raises:
-        SerializationError: on the first malformed line, with its
-            1-based line number.
-    """
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SerializationError(
-                    f"{path}:{line_number}: invalid JSON: {exc}"
-                ) from exc
-            try:
-                yield DeadLetter.from_dict(data)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SerializationError(
-                    f"{path}:{line_number}: malformed dead letter: {exc}"
-                ) from exc
 
 
 @dataclass(slots=True)

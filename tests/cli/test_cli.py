@@ -33,6 +33,8 @@ class TestBadNumericOptions:
         ["calibrate", "--scale", "0"],
         ["replicate", "--scale", "0"],
         ["reproduce", "--scale", "0"],
+        ["collect", "{firehose}", "{tmp}/out.jsonl", "--workers", "0"],
+        ["monitor", "{firehose}", "--emit-every", "0"],
     ])
     def test_exits_2_with_error_line_and_no_traceback(
         self, argv, firehose, corpus_file, tmp_path, capsys

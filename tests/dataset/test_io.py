@@ -153,7 +153,8 @@ class TestAtomicWrites:
         assert path.read_bytes() == old_bytes
 
     def test_write_leaves_integrity_sidecar(self, tmp_path):
-        from repro.storage.manifest import load_manifest, verify_file
+        from repro.storage.manifest import load_manifest
+        from repro.storage.scrub import scrub_file
 
         originals = records(4)
         originals[1] = dataclasses.replace(
@@ -173,7 +174,7 @@ class TestAtomicWrites:
         manifest = load_manifest(path)
         assert manifest is not None
         assert manifest.records == 4
-        assert verify_file(path).ok
+        assert scrub_file(path, quarantine=False).status == "clean"
 
     def test_manifest_opt_out(self, tmp_path):
         from repro.storage.manifest import load_manifest

@@ -10,7 +10,6 @@ class TestAhoCorasick:
     def test_empty_automaton_matches_nothing(self):
         automaton = AhoCorasick([])
         assert automaton.find("kidney donor") == ()
-        assert automaton.contains_any("kidney donor") is False
 
     def test_single_term(self):
         automaton = AhoCorasick(["kidney"])
@@ -47,11 +46,6 @@ class TestAhoCorasick:
     def test_terms_property_deduplicated_sorted(self):
         automaton = AhoCorasick(["b", "a", "b", ""])
         assert automaton.terms == ("a", "b")
-
-    def test_contains_any_early_exit_agrees_with_find(self):
-        automaton = AhoCorasick(["heart", "lung"])
-        for text in ("hearttransplant", "lunges", "pancreas", ""):
-            assert automaton.contains_any(text) == bool(automaton.find(text))
 
 
 class TestTermVocabulary:

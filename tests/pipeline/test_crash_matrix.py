@@ -14,7 +14,7 @@ import pytest
 from repro.faults.storage import SimulatedCrash, StorageFaultPlan
 from repro.pipeline.incremental import IncrementalCollector
 from repro.storage.fs import FaultyFS
-from repro.storage.manifest import verify_file
+from repro.storage.scrub import scrub_file
 from repro.twitter.models import Tweet, UserProfile
 
 CHECKPOINT_EVERY = 4
@@ -78,7 +78,7 @@ def test_kill_at_every_syscall_recovers_byte_identical(
             f"corpus diverged after crash at syscall #{kill_at}"
         )
         assert resumed.checkpoint.retained == len(TWEETS)
-        assert verify_file(corpus_path).ok
+        assert scrub_file(corpus_path, quarantine=False).status == "clean"
 
 
 def test_double_crash_still_recovers(baseline, syscall_count, tmp_path):

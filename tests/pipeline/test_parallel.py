@@ -162,8 +162,13 @@ class TestRunSharded:
         with pytest.raises(ConfigError):
             CollectionPipeline().run(self.make_source(), workers=0)
 
-    def test_run_sharded_returns_stream_order(self):
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_run_sharded_returns_stream_order(self, workers):
         source = self.make_source()
-        records, __ = run_sharded(source, CollectionConfig(), 3)
+        records, report = run_sharded(source, CollectionConfig(), workers)
         ids = [record.tweet.tweet_id for record in records]
+        assert ids
         assert ids == sorted(ids)
+        # Every direct call runs supervised, workers=1 included.
+        assert report.compute is not None
+        assert report.compute.tasks == workers

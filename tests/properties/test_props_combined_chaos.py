@@ -17,7 +17,7 @@ from repro.faults.compute import WorkerFaultPlan
 from repro.faults.storage import StorageFaultPlan
 from repro.pipeline.runner import CollectionPipeline
 from repro.storage.fs import FaultyFS
-from repro.storage.manifest import verify_file
+from repro.storage.scrub import scrub_file
 from repro.supervise import SupervisorPolicy
 from repro.synth.scenarios import paper2016_scenario
 from repro.synth.world import SyntheticWorld
@@ -59,7 +59,7 @@ class TestTripleChaosEquivalence:
         write_jsonl(corpus.records, target, fs=fs)
 
         assert target.read_bytes() == baseline.read_bytes()
-        assert verify_file(target).ok
+        assert scrub_file(target, quarantine=False).status == "clean"
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_every_layer_reports_what_it_survived(self, tmp_path, seed):

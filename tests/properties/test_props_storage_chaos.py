@@ -22,7 +22,6 @@ from repro.dataset.io import write_jsonl
 from repro.pipeline.incremental import IncrementalCollector
 from repro.pipeline.runner import CollectionPipeline
 from repro.storage.fs import FaultyFS
-from repro.storage.manifest import verify_file
 from repro.storage.scrub import quarantine_path, scrub_file
 from repro.twitter.models import Tweet, UserProfile
 
@@ -84,7 +83,7 @@ class TestWriteChaosEquivalence:
         fs = FaultyFS(StorageFaultPlan(seed=seed, **RATE_FAULTS[fault]))
         write_jsonl(records, target, fs=fs)
         assert target.read_bytes() == baseline.read_bytes()
-        assert verify_file(target).ok
+        assert scrub_file(target, quarantine=False).status == "clean"
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("fault", sorted(POINT_FAULTS))
@@ -112,7 +111,7 @@ class TestWriteChaosEquivalence:
         # A clean retry (the process restarting) converges exactly.
         write_jsonl(records, target)
         assert target.read_bytes() == baseline_bytes
-        assert verify_file(target).ok
+        assert scrub_file(target, quarantine=False).status == "clean"
 
 
 class TestIncrementalFsyncLieRecovery:
@@ -152,7 +151,7 @@ class TestIncrementalFsyncLieRecovery:
             resumed = IncrementalCollector(corpus_path)
             resumed.run(tweets, checkpoint_every=5)
         assert corpus_path.read_bytes() == baseline_bytes
-        assert verify_file(corpus_path).ok
+        assert scrub_file(corpus_path, quarantine=False).status == "clean"
 
 
 class TestBitrotScrub:

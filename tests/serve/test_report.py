@@ -55,8 +55,3 @@ class TestOverloadReport:
         report = sample_report()
         report.completed -= 1
         assert ("accounting", "BROKEN") in report.as_rows()
-
-    def test_round_trips_through_dict(self):
-        report = sample_report()
-        back = OverloadReport.from_dict(report.to_dict())
-        assert back == report

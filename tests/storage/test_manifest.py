@@ -17,10 +17,10 @@ from repro.storage.manifest import (
     manifest_path,
     record_crc,
     text_record_crcs,
-    verify_file,
     write_manifest,
     write_text_with_manifest,
 )
+from repro.storage.scrub import scrub_file
 
 
 class TestPaths:
@@ -113,21 +113,10 @@ class TestVerify:
     def test_clean_file_verifies_ok(self, tmp_path):
         path = tmp_path / "f.jsonl"
         write_text_with_manifest(path, '{"a": 1}\n{"b": 2}\n')
-        result = verify_file(path)
-        assert result.ok
-        assert result.manifest_records == 2
-        assert result.actual_records == 2
-
-    def test_missing_manifest(self, tmp_path):
-        path = tmp_path / "f.jsonl"
-        path.write_text("data\n")
-        assert verify_file(path).status == "missing-manifest"
-
-    def test_missing_file(self, tmp_path):
-        path = tmp_path / "f.jsonl"
-        write_text_with_manifest(path, "data\n")
-        path.unlink()
-        assert verify_file(path).status == "missing-file"
+        assert scrub_file(path, quarantine=False).status == "clean"
+        manifest = load_manifest(path)
+        assert manifest is not None
+        assert manifest.records == 2
 
     def test_mismatch_pinpoints_corrupt_lines(self, tmp_path):
         path = tmp_path / "f.jsonl"
@@ -135,9 +124,9 @@ class TestVerify:
         lines = path.read_bytes().split(b"\n")
         lines[1] = b"bXbb"
         path.write_bytes(b"\n".join(lines))
-        result = verify_file(path)
-        assert result.status == "mismatch"
-        assert result.corrupt_records == (2,)
+        result = scrub_file(path, quarantine=False)
+        assert result.status == "corrupt"
+        assert result.corrupt_lines == (2,)
 
     def test_write_text_with_manifest_creates_both(self, tmp_path):
         path = tmp_path / "f.jsonl"

@@ -8,7 +8,6 @@ from repro.faults.storage import flip_bits
 from repro.storage.manifest import (
     build_manifest,
     manifest_path,
-    verify_file,
     write_manifest,
     write_text_with_manifest,
 )
@@ -88,9 +87,8 @@ class TestQuarantine:
         assert all(e["reason"].startswith("record CRC") for e in entries)
         assert entries[0]["payload"] == lines[2].decode()
         # The rewritten file and the dead-letter both verify clean now.
-        assert verify_file(manifested).ok
-        assert verify_file(dead).ok
-        assert scrub_file(manifested).status == "clean"
+        assert scrub_file(manifested, quarantine=False).status == "clean"
+        assert scrub_file(dead, quarantine=False).status == "clean"
 
     def test_no_quarantine_reports_without_modifying(self, manifested):
         damaged = bytearray(manifested.read_bytes())
@@ -145,7 +143,7 @@ class TestRepair:
         manifested.unlink()
         result = scrub_file(manifested, repair_from=replica_dir)
         assert result.status == "repaired"
-        assert verify_file(manifested).ok
+        assert scrub_file(manifested, quarantine=False).status == "clean"
 
     def test_wrong_replica_is_not_used(self, manifested, tmp_path):
         replica_dir = tmp_path / "replicas"

@@ -1,5 +1,7 @@
 """Tests for the fault-injecting stream substrate."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigError, SerializationError
@@ -12,8 +14,6 @@ from repro.twitter.faults import (
     KEEPALIVE,
     FaultPlan,
     FaultySource,
-    decode_frame,
-    encode_frames,
 )
 from repro.twitter.models import Tweet, UserProfile
 
@@ -27,6 +27,19 @@ def tweets(n: int) -> list[Tweet]:
         )
         for i in range(n)
     ]
+
+
+def encode_frames(items: list[Tweet]) -> list[str]:
+    """The payload frames a fault-free source delivers for ``items``."""
+    return [json.dumps(t.to_dict(), ensure_ascii=False) for t in items]
+
+
+def decode_frame(frame: str) -> Tweet:
+    """Decode one payload frame; malformed frames raise SerializationError."""
+    try:
+        return Tweet.from_dict(json.loads(frame))
+    except json.JSONDecodeError as exc:
+        raise SerializationError(f"invalid JSON frame: {exc}") from exc
 
 
 def drain(source: FaultySource) -> list[str]:
@@ -102,7 +115,7 @@ class TestPassthrough:
     def test_no_faults_delivers_exact_frame_stream(self):
         items = tweets(30)
         source = FaultySource(iter(items), FaultPlan.none())
-        assert drain(source) == list(encode_frames(items))
+        assert drain(source) == encode_frames(items)
 
     def test_no_faults_injects_nothing(self):
         source = FaultySource(iter(tweets(10)), FaultPlan.none())

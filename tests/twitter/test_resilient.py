@@ -317,53 +317,3 @@ class TestDeadLetterReplay:
                 assert letter.reason == "malformed-record"
                 continue
             assert tweet.tweet_id in delivered
-
-
-class TestDeadLetterPersistence:
-    def letters(self):
-        from repro.twitter.resilient import DeadLetter
-
-        return [
-            DeadLetter(payload="{torn", reason="invalid-json", sequence=3),
-            DeadLetter(payload='{"ok": true}', reason="malformed-record",
-                       sequence=9),
-        ]
-
-    def test_round_trip_with_sidecar(self, tmp_path):
-        from repro.storage.manifest import verify_file
-        from repro.twitter.resilient import (
-            read_dead_letters_jsonl,
-            write_dead_letters_jsonl,
-        )
-
-        path = tmp_path / "dead.jsonl"
-        assert write_dead_letters_jsonl(self.letters(), path) == 2
-        assert list(read_dead_letters_jsonl(path)) == self.letters()
-        assert verify_file(path).ok
-
-    def test_crash_mid_write_preserves_old_queue(self, tmp_path):
-        from repro.faults.storage import SimulatedCrash, StorageFaultPlan
-        from repro.storage.fs import FaultyFS
-        from repro.twitter.resilient import write_dead_letters_jsonl
-
-        path = tmp_path / "dead.jsonl"
-        write_dead_letters_jsonl(self.letters(), path)
-        old = path.read_bytes()
-        fs = FaultyFS(StorageFaultPlan(crash_at=2))
-        with pytest.raises(SimulatedCrash):
-            write_dead_letters_jsonl(self.letters() * 10, path, fs=fs)
-        assert path.read_bytes() == old
-
-    def test_malformed_line_reports_position(self, tmp_path):
-        from repro.errors import SerializationError
-        from repro.twitter.resilient import (
-            read_dead_letters_jsonl,
-            write_dead_letters_jsonl,
-        )
-
-        path = tmp_path / "dead.jsonl"
-        write_dead_letters_jsonl(self.letters(), path, manifest=False)
-        with open(path, "a") as handle:
-            handle.write('{"payload": "x"}\n')  # missing fields
-        with pytest.raises(SerializationError, match=":3"):
-            list(read_dead_letters_jsonl(path))
